@@ -16,11 +16,16 @@ import contextlib
 import os
 import pathlib
 import resource
+import sys
 import tracemalloc
 
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+# Records that check the program against the test suite's oracles import
+# them as ``tests.*`` from the repository root.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 
 FULL_SCALE = os.environ.get("SXNM_BENCH_FULL") == "1"
 

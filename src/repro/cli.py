@@ -530,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(verbose; implies per-pair instrumentation)")
     detect.add_argument("--filters", action="store_true",
                         help="arm the comparison plane's pruning layers "
-                             "(length/bag filters, banded edit distances, "
+                             "(length/bag filters, capped edit distances, "
                              "upper-bound aborts); identical results, "
                              "fewer expensive comparisons")
     detect.add_argument("--workers", type=int, default=None, metavar="N",
@@ -548,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="classify each window block of pairs in one "
                              "batched call over the comparison plane "
                              "(shared per-string artifacts, column-wise "
-                             "prefilters, reused DP rows); identical pairs "
+                             "prefilters); identical pairs "
                              "and clusters; default: the configuration's "
                              "'batchCompare' attribute")
     detect.add_argument("--plane", default=None, dest="plane",

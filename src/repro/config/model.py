@@ -21,7 +21,7 @@ paper's intersection/union ratio).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..errors import ConfigError
 from ..keys import KeyDefinition, KeyPart, parse_pattern
@@ -332,7 +332,7 @@ class SxnmConfig:
     ``phi_cache_persist`` gates it without forgetting the path.
     ``batch_compare`` classifies each window block of pairs in one
     batched call over the comparison plane (per-string artifacts,
-    column-wise prefilters, shared DP rows) instead of pair by pair.
+    column-wise prefilters) instead of pair by pair.
     ``execution_plane`` selects the execution backend ("auto" resolves
     to serial for one worker, shared-memory otherwise);
     ``worker_pool_persist`` keeps worker pools warm across runs in the
@@ -391,6 +391,15 @@ class SxnmConfig:
     #: listed members (include "window" to keep the paper's window as
     #: one member).
     neighborhood_strategies: list[StrategySpec] = field(default_factory=list)
+
+    def with_overrides(self, **overrides) -> "SxnmConfig":
+        """A validated copy with the given fields replaced.
+
+        The receiver is left untouched; an invalid result raises
+        :class:`~repro.errors.ConfigError` listing every problem.
+        """
+        from .validate import ensure_valid
+        return ensure_valid(replace(self, **overrides))
 
     def add(self, candidate: CandidateSpec) -> CandidateSpec:
         """Register ``candidate``; names must be unique."""

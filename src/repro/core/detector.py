@@ -117,10 +117,9 @@ class SxnmDetector:
         Classify each window block of candidate pairs in one batched
         call over the comparison plane (``repro.similarity.batch``):
         per-string artifacts are computed once per distinct string,
-        the length/bag prefilters run column-wise over the block, and
-        surviving pairs share Levenshtein DP rows.  Pairs, clusters,
-        and every non-batch stats counter are bit-identical to the
-        pair-at-a-time path.  ``None`` (default) defers to
+        and the length/bag prefilters run column-wise over the block.
+        Pairs, clusters, and every non-batch stats counter are
+        bit-identical to the pair-at-a-time path.  ``None`` (default) defers to
         ``config.batch_compare``.
     execution_plane:
         Execution backend for the window passes: ``"auto"`` (serial for
@@ -199,50 +198,44 @@ class SxnmDetector:
         if decision not in ("gates", "combined"):
             raise DetectionError(f"unknown decision rule {decision!r}")
         self.decision: Decision = decision
-        if decision_mode is not None:
-            config.decision_mode = decision_mode
-        self.decision_mode = getattr(config, "decision_mode", "threshold")
-        if decision_fpr is not None:
-            config.decision_fpr = decision_fpr
-        if decision_coverage is not None:
-            config.decision_coverage = decision_coverage
+        overrides = {
+            "decision_mode": decision_mode,
+            "decision_fpr": decision_fpr,
+            "decision_coverage": decision_coverage,
+            "phi_cache_dir": phi_cache_dir,
+            "batch_compare": batch_compare,
+            "execution_plane": execution_plane,
+            "index_dir": index_dir,
+            "stream_parse": stream,
+            "spill_dir": spill_dir,
+            "spill_max_rows": spill_max_rows,
+            "neighborhood_strategies": None if strategies is None else [
+                strategy if isinstance(strategy, StrategySpec)
+                else strategy_from_string(strategy)
+                for strategy in strategies],
+        }
+        overrides = {name: value for name, value in overrides.items()
+                     if value is not None}
+        if overrides:
+            # Never write into the caller's config: run on a copy.
+            config = config.with_overrides(**overrides)
+        self.decision_mode = config.decision_mode
         self.calibration = calibration
         self.review_queue = review_queue
         self.consistency = consistency
         self.streaming_keygen = streaming_keygen
         self.closure_method = closure_method
         self.use_filters = (use_filters if use_filters is not None
-                            else getattr(config, "use_filters", False))
+                            else config.use_filters)
         self.theories = dict(theories or {})
         self.duplicate_elimination = duplicate_elimination
-        self.workers = (workers if workers is not None
-                        else getattr(config, "workers", 1))
-        if phi_cache_dir is not None:
-            config.phi_cache_dir = phi_cache_dir
-        self.phi_cache_dir = getattr(config, "phi_cache_dir", None)
-        if batch_compare is not None:
-            config.batch_compare = batch_compare
-        self.batch_compare = getattr(config, "batch_compare", False)
-        if execution_plane is not None:
-            config.execution_plane = execution_plane
-        self.execution_plane = getattr(config, "execution_plane", "auto")
-        if index_dir is not None:
-            config.index_dir = index_dir
-        self.index_dir = getattr(config, "index_dir", None)
-        if stream is not None:
-            config.stream_parse = stream
-        self.stream = getattr(config, "stream_parse", False)
-        if spill_dir is not None:
-            config.spill_dir = spill_dir
-        if spill_max_rows is not None:
-            config.spill_max_rows = spill_max_rows
-        if strategies is not None:
-            config.neighborhood_strategies = [
-                strategy if isinstance(strategy, StrategySpec)
-                else strategy_from_string(strategy)
-                for strategy in strategies]
-        self.strategies = list(
-            getattr(config, "neighborhood_strategies", ()) or ())
+        self.workers = workers if workers is not None else config.workers
+        self.phi_cache_dir = config.phi_cache_dir
+        self.batch_compare = config.batch_compare
+        self.execution_plane = config.execution_plane
+        self.index_dir = config.index_dir
+        self.stream = config.stream_parse
+        self.strategies = list(config.neighborhood_strategies)
 
         if self.strategies:
             neighborhood = build_union_strategy(

@@ -221,39 +221,37 @@ class SimilarityMeasure:
         Verdicts (and every non-batch counter) are bit-identical to
         calling :meth:`compare` on each pair in block order; the OD
         layer runs through a :class:`~repro.similarity.batch.PairBatch`
-        so per-string artifacts, column-wise prefilters, and shared DP
-        rows amortize across the block.
+        so per-string artifacts and column-wise prefilters amortize
+        across the block.
         """
         batch = self._pair_batch()
         verdicts: list[PairVerdict] = []
         if self.use_filters:
             probes = batch.probe_block([(left.ods, right.ods)
                                         for left, right in block])
-            with batch.arena_active():
-                for (left, right), probe in zip(block, probes):
-                    if probe.prefiltered:
-                        self.filtered_comparisons += 1
-                        verdicts.append(PairVerdict(probe.score, None,
-                                                    probe.score, False))
-                        continue
-                    od = self._cached_od(left, right)
-                    if od is None:
-                        outcome = self.plan.resolve(probe)
-                        if not outcome.exact:
-                            verdicts.append(PairVerdict(outcome.score, None,
-                                                        outcome.score, False))
-                            continue
-                        od = self._store_od(left, right, outcome.score)
-                    verdicts.append(self._classify(left, right, od))
-            return verdicts
-        self.stats.batched_pairs += len(block)
-        with batch.arena_active():
-            for left, right in block:
+            for (left, right), probe in zip(block, probes):
+                if probe.prefiltered:
+                    self.filtered_comparisons += 1
+                    verdicts.append(PairVerdict(probe.score, None,
+                                                probe.score, False))
+                    continue
                 od = self._cached_od(left, right)
                 if od is None:
-                    od = self._store_od(left, right,
-                                        self.plan.score(left.ods, right.ods))
+                    outcome = self.plan.resolve(probe)
+                    if not outcome.exact:
+                        verdicts.append(PairVerdict(outcome.score, None,
+                                                    outcome.score, False))
+                        continue
+                    od = self._store_od(left, right, outcome.score)
                 verdicts.append(self._classify(left, right, od))
+            return verdicts
+        self.stats.batched_pairs += len(block)
+        for left, right in block:
+            od = self._cached_od(left, right)
+            if od is None:
+                od = self._store_od(left, right,
+                                    self.plan.score(left.ods, right.ods))
+            verdicts.append(self._classify(left, right, od))
         return verdicts
 
     def _pair_batch(self) -> PairBatch:
@@ -275,9 +273,9 @@ class SimilarityMeasure:
         self._pair_batch().seed_artifacts(mapping)
 
     def __getstate__(self):
-        # The batch layer holds per-string artifact memos and live DP
-        # columns — per-process working state, not configuration; worker
-        # processes rebuild their own lazily.
+        # The batch layer holds per-string artifact memos — per-process
+        # working state, not configuration; worker processes rebuild
+        # their own lazily.
         state = self.__dict__.copy()
         state.pop("_batch", None)
         return state

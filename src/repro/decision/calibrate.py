@@ -199,8 +199,8 @@ class ThreeWayCalibration:
         }
 
 
-def _validate_sample(scores: Sequence[float],
-                     labels: Sequence[bool]) -> list[str]:
+def _validate_sample(scores: Sequence[float], labels: Sequence[bool],
+                     allow_ties: bool = False) -> list[str]:
     problems: list[str] = []
     if len(scores) != len(labels):
         problems.append(
@@ -221,7 +221,7 @@ def _validate_sample(scores: Sequence[float],
         problems.append("no positive (duplicate) pairs in the sample")
     if negatives == 0:
         problems.append("no negative (non-duplicate) pairs in the sample")
-    if not nan_count and len(set(scores)) < 2:
+    if not allow_ties and not nan_count and len(set(scores)) < 2:
         problems.append(
             "all scores are tied; no threshold can separate the classes")
     return problems
@@ -236,10 +236,11 @@ def neyman_pearson_cutoff(scores: Sequence[float], labels: Sequence[bool],
     cutoffs (the distinct observed scores plus a rejects-everything
     sentinel above the maximum) from the most permissive upward and
     returns the smallest one whose false-positive rate over the labelled
-    negatives is at most ``target_fpr``.  Returns
+    negatives is at most ``target_fpr``.  Tied scores cannot separate
+    the classes, so their answer is the sentinel.  Returns
     ``(cutoff, empirical_fpr, clopper_pearson_upper_bound)``.
     """
-    problems = _validate_sample(scores, labels)
+    problems = _validate_sample(scores, labels, allow_ties=True)
     if problems:
         raise DetectionError(
             "cannot calibrate Neyman-Pearson cutoff:\n  - "

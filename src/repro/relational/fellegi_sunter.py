@@ -66,7 +66,7 @@ class FellegiSunterMatcher:
     """Weight-summing matcher with match / possible / non-match bands.
 
     Each field's agreement test is compiled against the registry's
-    filter metadata (length/bag bounds, banded DP for the edit family)
+    filter metadata (length/bag bounds, capped distance for the edit family)
     with a shared φ memo cache; agreement outcomes, weights, and
     classifications are identical to the plain per-field loop.
     """

@@ -13,8 +13,8 @@ callable ``(Record, Record) -> bool``.  Two standard implementations:
 
 Both run on the compiled comparison plane
 (:mod:`repro.similarity.plan`): fields are evaluated cheapest-first
-with the registry's filter bounds, edit distances run through the
-banded DP, φ scores are memoized in a shared cache, and — for the
+with the registry's filter bounds, edit distances are capped at the
+threshold's floor, φ scores are memoized in a shared cache, and — for the
 weighted matcher — pairs are abandoned as soon as the maximum
 still-achievable score falls below the threshold.  Scores and
 decisions are bit-identical to the plain field loops they replace.
@@ -91,9 +91,8 @@ class WeightedFieldMatcher:
     def similarity_block(self, block: list[tuple[Record, Record]]) -> list[float]:
         """Exact scores for a block of pairs, batched.
 
-        Per-string artifacts are shared across the block and repeated
-        edit distances reuse DP rows; every score is bit-identical to
-        :meth:`similarity` on the same pair.
+        Per-string artifacts are shared across the block; every score is
+        bit-identical to :meth:`similarity` on the same pair.
         """
         return self._batch().score_block(
             [(self._values(left), self._values(right)) for left, right in block])
@@ -138,7 +137,7 @@ class RuleMatcher:
     nonempty, at least one of them must hold as well.  Each condition is
     compiled against the registry's filter metadata and all share one φ
     memo cache, so repeated field values and refutable edit distances
-    never pay for a full DP.
+    never pay for a full evaluation.
     """
 
     def __init__(self, require: list[Condition] | None = None,

@@ -8,8 +8,7 @@ from .registry import (DEFAULT_TRAITS, PhiTraits, SimilarityFunction,
                        available_similarities, exact_casefold_similarity,
                        exact_similarity, get_similarity, get_traits,
                        register_similarity, reset_registry)
-from .batch import (DpArena, PairBatch, bag_distance_from_artifacts,
-                    string_artifacts)
+from .batch import PairBatch, bag_distance_from_artifacts, string_artifacts
 from .filters import (bag_distance, bag_filter_bound,
                       bounded_edit_similarity, bounded_levenshtein,
                       filtered_edit_similarity, length_filter_bound)
@@ -29,7 +28,6 @@ __all__ = [
     "CompiledCondition",
     "ComparisonPlan",
     "ComparisonStats",
-    "DpArena",
     "PairBatch",
     "PhiCache",
     "PhiTraits",

@@ -2,11 +2,10 @@
 
 The window phase compares each row against its ``window - 1``
 predecessors back to back, so consecutive pairs share strings: the
-anchor row's values repeat across the whole block, and the sorted
-neighbors' values share long prefixes.  The pair-at-a-time
-:class:`~repro.similarity.plan.ComparisonPlan` walk re-derives lengths,
-character bags, and DP rows for every pair anyway.  :class:`PairBatch`
-amortizes that work across a block of pairs sharing one plan:
+anchor row's values repeat across the whole block.  The pair-at-a-time
+:class:`~repro.similarity.plan.ComparisonPlan` walk re-derives lengths
+and character bags for every pair anyway.  :class:`PairBatch` amortizes
+that work across a block of pairs sharing one plan:
 
 * **per-string artifacts** — lengths and character bags are computed
   once per *distinct string* (memoized across blocks for the life of
@@ -14,12 +13,9 @@ amortizes that work across a block of pairs sharing one plan:
 * **column-wise prefilters** — the length/bag upper bounds of
   :mod:`repro.similarity.filters` run field-by-field over the whole
   block from those artifacts, so a dropped pair never touches a φ;
-* **shared DP rows** — surviving pairs walk the *unchanged*
-  ``plan.resolve``/``plan.score`` path, with full Levenshtein
-  evaluations routed through a resumable column DP
-  (:class:`DpArena`) that reuses the columns shared by the previous
-  pair's string prefix — the classic trick for sorted neighborhoods,
-  where adjacent strings share prefixes by construction.
+* **unchanged survivors** — surviving pairs walk the *unchanged*
+  ``plan.resolve``/``plan.score`` path, whose edit distances run on the
+  bit-parallel kernel of :mod:`repro.similarity.levenshtein`.
 
 Bit-identity contract
 ---------------------
@@ -37,16 +33,10 @@ Batching never changes a score, a decision, or a non-batch counter:
   :class:`~repro.similarity.store.PersistentPhiCache` seams therefore
   see the identical lookup/insert sequence (single-string artifacts
   never enter those seams: they are not φ scores, and the φ stores stay
-  authoritative for exact values only);
-* the arena computes the exact Levenshtein *distance* (an integer with
-  a unique value regardless of evaluation order) and applies the exact
-  ``levenshtein_similarity`` normalization, so routed values are
-  bitwise equal to direct calls.
+  authoritative for exact values only).
 
 What does change is accounted in the two batch-only counters —
-``ComparisonStats.batched_pairs`` and ``batch_prefilter_drops`` — and
-in the arena's cell accounting (:attr:`DpArena.cells_computed` versus
-:attr:`DpArena.cells_naive`), which the batch benchmark reads.
+``ComparisonStats.batched_pairs`` and ``batch_prefilter_drops``.
 
 The differential battery in ``tests/similarity/test_batch_equivalence``
 and the hypothesis suite in ``tests/similarity/test_batch_properties``
@@ -58,7 +48,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .filters import bag_filter_bound, length_filter_bound
-from .levenshtein import levenshtein_similarity
 from .plan import ComparisonPlan, PlanOutcome, _Probe
 
 #: A block item: the two value vectors of one candidate pair.
@@ -98,83 +87,13 @@ def bag_distance_from_artifacts(left: dict[str, int],
     return max(left_only, right_only)
 
 
-class DpArena:
-    """A resumable column-wise Levenshtein DP shared across a block.
-
-    The arena fixes one *pattern* string (the side that repeats across
-    a window block — the anchor row's value) and consumes *text*
-    strings column by column: after consuming ``text[:k]`` the cached
-    column ``columns[k][j]`` holds the distance between ``text[:k]``
-    and ``pattern[:j]``.  A new text resumes from the longest common
-    prefix with the previous one, so the sorted neighbors of a window —
-    which share prefixes by construction of the sort — only pay for
-    their differing suffixes.
-
-    The result is the exact Levenshtein distance (the recurrence is the
-    textbook one; only the evaluation order differs), so similarities
-    derived from it are bit-identical to
-    :func:`~repro.similarity.levenshtein.levenshtein_distance`.
-
-    ``cells_computed``/``cells_naive`` account the DP work actually
-    paid versus what independent full matrices would have cost — the
-    batch benchmark's honest savings measure.
-    """
-
-    __slots__ = ("pattern", "text", "columns", "cells_computed",
-                 "cells_naive", "runs")
-
-    def __init__(self):
-        self.pattern: str | None = None
-        self.text = ""
-        self.columns: list[list[int]] = []
-        self.cells_computed = 0
-        self.cells_naive = 0
-        self.runs = 0
-
-    def distance(self, text: str, pattern: str) -> int:
-        """The exact Levenshtein distance between ``text`` and ``pattern``."""
-        self.runs += 1
-        self.cells_naive += len(text) * len(pattern)
-        if text == pattern:
-            # Mirrors the equal-strings shortcut of the plain DP; the
-            # cached columns still describe ``self.text`` so later calls
-            # resume correctly.
-            return 0
-        if pattern != self.pattern:
-            self.pattern = pattern
-            self.text = ""
-            self.columns = [list(range(len(pattern) + 1))]
-        common = 0
-        limit = min(len(text), len(self.text))
-        while common < limit and text[common] == self.text[common]:
-            common += 1
-        del self.columns[common + 1:]
-        self.text = text
-        width = len(pattern)
-        columns = self.columns
-        for index in range(common, len(text)):
-            char = text[index]
-            previous = columns[index]
-            current = [index + 1]
-            append = current.append
-            for col in range(1, width + 1):
-                cost = 0 if char == pattern[col - 1] else 1
-                append(min(previous[col] + 1,
-                           current[col - 1] + 1,
-                           previous[col - 1] + cost))
-            columns.append(current)
-            self.cells_computed += width
-        return columns[len(text)][width]
-
-
 class PairBatch:
     """Batched evaluation of candidate-pair blocks over one plan.
 
     A batch is created once per plan (per candidate) and fed blocks of
     pairs — each a ``(left_values, right_values)`` tuple of the plan's
-    value vectors.  Artifacts persist across blocks; the DP arena's
-    prefix state persists too, so successive window blocks whose anchor
-    strings repeat keep their columns warm.
+    value vectors.  Artifacts persist across blocks, so successive
+    window blocks whose strings repeat reuse them.
 
     Every public method is proven equivalent to mapping the matching
     :class:`~repro.similarity.plan.ComparisonPlan` method over the
@@ -186,7 +105,6 @@ class PairBatch:
     def __init__(self, plan: ComparisonPlan):
         self.plan = plan
         self._artifacts: dict[str, tuple[int, dict[str, int]]] = {}
-        self.arena = DpArena()
 
     # ------------------------------------------------------------------
     # Artifacts and artifact-backed bounds
@@ -241,43 +159,6 @@ class PairBatch:
                 term = bound(left, right)
             value = term if value is None else min(value, term)
         return value
-
-    # ------------------------------------------------------------------
-    # The arena seam into the plan's full-φ path
-
-    def _run_phi(self, f, left: str, right: str) -> float:
-        if f.phi is levenshtein_similarity:
-            left_len = len(left)
-            right_len = len(right)
-            longest = left_len if left_len > right_len else right_len
-            if longest == 0:
-                return 1.0
-            # ``left`` varies across a window block while ``right`` (the
-            # anchor row's value) repeats — the arena patterns on the
-            # repeating side and resumes on the varying side's prefix.
-            return 1.0 - self.arena.distance(left, right) / longest
-        return f.phi(left, right)
-
-    class _ArenaActive:
-        """Context manager installing the arena as the plan's φ runner."""
-
-        __slots__ = ("batch",)
-
-        def __init__(self, batch: "PairBatch"):
-            self.batch = batch
-
-        def __enter__(self):
-            self.batch.plan.phi_runner = self.batch._run_phi
-            return self.batch
-
-        def __exit__(self, *exc_info):
-            self.batch.plan.phi_runner = None
-            return False
-
-    def arena_active(self) -> "PairBatch._ArenaActive":
-        """Route the plan's full-φ evaluations through the DP arena
-        for the duration of a ``with`` block."""
-        return PairBatch._ArenaActive(self)
 
     # ------------------------------------------------------------------
     # Block evaluation
@@ -343,7 +224,7 @@ class PairBatch:
         return probes
 
     def resolve_block(self, probes: Sequence[_Probe]) -> list[PlanOutcome]:
-        """Stage 2 for surviving probes, DP arena armed.
+        """Stage 2 for surviving probes.
 
         Prefiltered probes yield the same inexact outcome
         ``plan.evaluate`` reports for them; survivors run the unchanged
@@ -352,13 +233,12 @@ class PairBatch:
         """
         plan = self.plan
         outcomes: list[PlanOutcome] = []
-        with self.arena_active():
-            for probe in probes:
-                if probe.prefiltered:
-                    outcomes.append(PlanOutcome(probe.score, exact=False,
-                                                prefiltered=True))
-                else:
-                    outcomes.append(plan.resolve(probe))
+        for probe in probes:
+            if probe.prefiltered:
+                outcomes.append(PlanOutcome(probe.score, exact=False,
+                                            prefiltered=True))
+            else:
+                outcomes.append(plan.resolve(probe))
         return outcomes
 
     def evaluate_block(self, block: Sequence[PairValues]) -> list[PlanOutcome]:
@@ -368,14 +248,12 @@ class PairBatch:
     def score_block(self, block: Sequence[PairValues]) -> list[float]:
         """Batched ``plan.score``: exact weighted similarities.
 
-        No prefilters (scores are exact by definition); the batch still
-        amortizes repeated full edit DPs through the arena.  Counts the
+        No prefilters (scores are exact by definition).  Counts the
         block into ``batched_pairs``.
         """
         plan = self.plan
         plan.stats.batched_pairs += len(block)
-        with self.arena_active():
-            return [plan.score(left, right) for left, right in block]
+        return [plan.score(left, right) for left, right in block]
 
     def decide_block(self, block: Sequence[PairValues]) -> list[bool]:
         """Batched ``plan.decide``: thresholded decisions."""

@@ -11,12 +11,13 @@ threshold makes sound:
 
 * **cost ordering** — cheap φ functions (exact match, numeric) are
   evaluated before expensive edit distances, so a pair refuted by a
-  cheap field never pays for a quadratic DP;
+  cheap field never pays for an edit distance;
 * **per-string filter binding** — any φ whose registry
   :class:`~repro.similarity.registry.PhiTraits` carry filter metadata
   (the edit family by default, user φs by registration) is guarded by
   its cheap upper bounds and, where available, evaluated through a
-  banded DP with a floor derived from the decision threshold;
+  floor-bounded evaluation with a floor derived from the decision
+  threshold;
 * **weighted-sum upper-bound pruning** — a pair is abandoned as soon as
   the maximum still-achievable weighted score falls below the threshold;
 * **φ memoization** — a shared, size-bounded :class:`PhiCache` maps
@@ -34,7 +35,7 @@ pair that *passes* the threshold:
   (monotonic rounding keeps ``Σ wᵢ·boundᵢ ≥ Σ wᵢ·φᵢ`` bitwise when both
   sums run in the same order), so a pruned pair is provably below the
   threshold under the exact arithmetic as well;
-* a truncated banded DP whose dominating bound cannot settle the pair
+* a floor-bounded evaluation whose dominating bound cannot settle the pair
   (a float-boundary corner) falls back to the full φ.
 
 Scores of *pruned* pairs are reported as the dominating upper bound with
@@ -122,13 +123,13 @@ class ComparisonStats:
     pairs_pruned: int = 0          # pairs abandoned mid-evaluation
     fields_evaluated: int = 0      # per-field φ evaluations attempted
     fields_skipped: int = 0        # fields never touched thanks to pruning
-    filter_short_circuits: int = 0  # per-field filter/banded-DP truncations
+    filter_short_circuits: int = 0  # per-field floor-bounded refutations
     phi_cache_hits: int = 0
     phi_cache_misses: int = 0
     phi_cache_disk_hits: int = 0   # hits served from the persistent spill
     phi_cache_spilled: int = 0     # exact scores newly queued for disk
-    edit_full_evals: int = 0       # full DP runs of filterable (edit-like) φs
-    edit_bounded_evals: int = 0    # banded DP runs
+    edit_full_evals: int = 0       # full runs of filterable (edit-like) φs
+    edit_bounded_evals: int = 0    # floor-bounded evaluations
     redundant_comparisons: int = 0  # pairs re-confirmed by parallel shards
     batched_pairs: int = 0         # pairs evaluated through a PairBatch
     batch_prefilter_drops: int = 0  # batch pairs dropped by column prefilters
@@ -391,11 +392,6 @@ class ComparisonPlan:
         self.threshold = threshold
         self.phi_cache = phi_cache
         self.stats = stats if stats is not None else ComparisonStats()
-        # Optional full-φ delegate: when set (by a PairBatch's DP arena),
-        # full evaluations of a field run through it instead of calling
-        # ``field.phi`` directly.  The delegate must return bit-identical
-        # values — it exists purely to share work across a block.
-        self.phi_runner = None
         # Cheap φs first, expensive last; heavier weights break ties so
         # high-relevance fields settle pairs earlier.
         self._order = sorted(
@@ -418,13 +414,6 @@ class ComparisonPlan:
         """Compile relational field rules (``.field``/``.weight``/``.phi``)."""
         return cls([PlanField(rule.field, rule.weight, rule.phi)
                     for rule in rules], **kwargs)
-
-    def __getstate__(self):
-        # A phi runner is a bound method of a live DP arena — never ship
-        # it across processes; the receiving side starts unbatched.
-        state = self.__dict__.copy()
-        state["phi_runner"] = None
-        return state
 
     # ------------------------------------------------------------------
     # Internal machinery
@@ -475,9 +464,7 @@ class ComparisonPlan:
 
     def _full_phi(self, f: _CompiledField, left: str, right: str,
                   key: tuple | None) -> float:
-        runner = self.phi_runner
-        value = (runner(f, left, right) if runner is not None
-                 else f.phi(left, right))
+        value = f.phi(left, right)
         if f.filterable:
             self.stats.edit_full_evals += 1
         if key is not None and self.phi_cache.put(key, value):
@@ -489,8 +476,8 @@ class ComparisonPlan:
         """One field's φ value as ``(value, exact)``.
 
         ``floor_hint`` is the minimum φ value that could still push the
-        pair over the threshold; a positive hint arms the banded-DP
-        filter of filterable φs.  An inexact return is a term-wise
+        pair over the threshold; a positive hint arms the floor-bounded
+        evaluation of filterable φs.  An inexact return is a term-wise
         dominating upper bound below the hint.
         """
         stats = self.stats
@@ -558,7 +545,8 @@ class ComparisonPlan:
 
         Evaluates the present fields in cost order, aborting as soon as
         the maximum still-achievable score falls below the threshold and
-        short-circuiting filterable φs through their banded DP.
+        short-circuiting filterable φs through their floor-bounded
+        evaluation.
         """
         if probe.total == 0.0:
             return PlanOutcome(0.0, exact=True)
@@ -637,8 +625,9 @@ class CompiledCondition:
 
     The equational-theory building block: ``holds(left, right)`` equals
     ``phi(left, right) >= at_least`` bitwise, but consults the cheap
-    upper bounds, the banded DP (for filterable φs), and the shared
-    :class:`PhiCache` before ever paying for a full evaluation.
+    upper bounds, the floor-bounded evaluation (for filterable φs), and
+    the shared :class:`PhiCache` before ever paying for a full
+    evaluation.
     """
 
     __slots__ = ("phi_name", "at_least", "phi", "traits", "phi_cache",

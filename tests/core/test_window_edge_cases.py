@@ -152,8 +152,8 @@ class TestBoundedKeySimilarity:
                         (left, right, floor)
 
     def test_adaptive_pass_unchanged_by_bounded_path(self):
-        """The adaptive pass (now routed through the banded DP) makes
-        exactly the comparisons the full-DP floor check implied."""
+        """The adaptive pass (routed through the filtered edit path)
+        makes exactly the comparisons the full floor check implied."""
         table = table_with([["abcd"], ["abce"], ["abzz"], ["qrst"],
                             ["qrsu"], ["zzzz"]])
         pairs: set = set()

@@ -20,13 +20,14 @@ shapes (heavy ties, tiny positive sets, inverted separability).
 import math
 import random
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.decision import (ThreeWayCalibration, calibrate_three_way,
                             clopper_pearson_upper, conformal_lower_bound,
                             neyman_pearson_cutoff)
 from repro.eval import evaluate_bands
+from tests.conftest import budget
 
 scores_strategy = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -62,7 +63,7 @@ def calibrate_or_assume(scores, labels, **kwargs):
 class TestNeymanPearsonCutoff:
     @given(sample=labelled_sample(),
            target=st.sampled_from([0.01, 0.05, 0.1, 0.25]))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=budget(60), deadline=None)
     def test_empirical_fpr_never_exceeds_target(self, sample, target):
         scores, labels = sample
         cutoff, empirical, bound = neyman_pearson_cutoff(
@@ -76,7 +77,7 @@ class TestNeymanPearsonCutoff:
         assert bound >= empirical
 
     @given(sample=labelled_sample())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=budget(60), deadline=None)
     def test_cutoff_monotone_in_target(self, sample):
         scores, labels = sample
         cutoffs = [neyman_pearson_cutoff(scores, labels, target_fpr=target)[0]
@@ -85,7 +86,7 @@ class TestNeymanPearsonCutoff:
         assert cutoffs == sorted(cutoffs, reverse=True)
 
     @given(sample=labelled_sample())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=budget(40), deadline=None)
     def test_cutoff_is_smallest_admissible(self, sample):
         """No strictly smaller candidate threshold also meets the target."""
         scores, labels = sample
@@ -105,7 +106,7 @@ class TestNeymanPearsonCutoff:
 class TestConformalCoverage:
     @given(positives=st.lists(scores_strategy, min_size=1, max_size=80),
            coverage=st.sampled_from([0.8, 0.9, 0.95]))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=budget(60), deadline=None)
     def test_floor_covers_calibration_positives(self, positives, coverage):
         floor = conformal_lower_bound(positives, coverage=coverage)
         covered = sum(1 for score in positives if score >= floor)
@@ -117,7 +118,7 @@ class TestConformalCoverage:
         assert covered / n >= coverage - 1.0 / n
 
     @given(positives=st.lists(scores_strategy, min_size=2, max_size=60))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=budget(40), deadline=None)
     def test_floor_monotone_in_coverage(self, positives):
         floors = [conformal_lower_bound(positives, coverage=coverage)
                   for coverage in (0.5, 0.8, 0.9, 0.99)]
@@ -129,7 +130,11 @@ class TestCalibrateThreeWay:
     @given(sample=labelled_sample(min_positives=4, min_negatives=4),
            fpr=st.sampled_from([0.05, 0.1, 0.25]),
            seed=st.integers(min_value=0, max_value=2**16))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=budget(60), deadline=None)
+    # Seed 0 draws a fit half of 0.0 scores only: a tied fit split must
+    # get the rejects-everything cutoff, not a "scores are tied" error.
+    @example(sample=([0.0] * 7 + [1.0], [True] * 4 + [False] * 4),
+             fpr=0.05, seed=0)
     def test_band_is_ordered_and_fpr_guarded(self, sample, fpr, seed):
         scores, labels = sample
         calibration = calibrate_or_assume(scores, labels, fpr=fpr,
@@ -144,7 +149,7 @@ class TestCalibrateThreeWay:
 
     @given(sample=labelled_sample(min_positives=4, min_negatives=4),
            seed=st.integers(min_value=0, max_value=2**16))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=budget(60), deadline=None)
     def test_deterministic_and_permutation_invariant(self, sample, seed):
         scores, labels = sample
         first = calibrate_or_assume(scores, labels, seed=seed)
@@ -157,7 +162,7 @@ class TestCalibrateThreeWay:
         assert shuffled == first
 
     @given(sample=labelled_sample(min_positives=4, min_negatives=4))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=budget(40), deadline=None)
     def test_upper_monotone_in_fpr_target(self, sample):
         scores, labels = sample
         uppers = [calibrate_or_assume(scores, labels, fpr=fpr).upper
@@ -166,7 +171,7 @@ class TestCalibrateThreeWay:
 
     @given(sample=labelled_sample(min_positives=6, min_negatives=6),
            seed=st.integers(min_value=0, max_value=2**10))
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=budget(40), deadline=None, derandomize=True)
     def test_held_out_fpr_within_cp_bound(self, sample, seed):
         """On the half the calibrator never fit, the AUTO_DUP band's FPR
         stays within the Clopper–Pearson bound the calibration reports."""
@@ -198,7 +203,7 @@ class TestCalibrateThreeWay:
 class TestClopperPearson:
     @given(trials=st.integers(min_value=1, max_value=500),
            successes=st.integers(min_value=0, max_value=500))
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=budget(80), deadline=None)
     def test_bound_dominates_point_estimate(self, trials, successes):
         assume(successes <= trials)
         bound = clopper_pearson_upper(successes, trials)

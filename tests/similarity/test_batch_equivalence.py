@@ -5,10 +5,10 @@ that batching is *purely* a work-saving transformation: every score,
 outcome, decision, detected pair, cluster partition, and non-batch
 stats counter is bit-identical to mapping the pair-at-a-time path over
 the same pairs in the same order.  This battery holds the promise at
-every level the batch threads through — the raw plan, the DP arena,
-the similarity measure, full detector runs (serial, sharded across
-worker processes, and against a warm persistent φ cache), and the
-relational matchers.
+every level the batch threads through — the raw plan, the edit kernel
+on window-shaped traffic, the similarity measure, full detector runs
+(serial, sharded across worker processes, and against a warm
+persistent φ cache), and the relational matchers.
 """
 
 import os
@@ -21,10 +21,11 @@ from repro.experiments import dataset1_config
 from repro.relational import (Condition, FieldRule, Relation, RelationalKey,
                               RuleMatcher, WeightedFieldMatcher,
                               sorted_neighborhood)
-from repro.similarity import (ComparisonPlan, ComparisonStats, DpArena,
-                              PairBatch, PhiCache)
+from repro.similarity import (ComparisonPlan, ComparisonStats, PairBatch,
+                              PhiCache)
 from repro.similarity.levenshtein import levenshtein_distance
 from tests.similarity.conftest import FIELDS, random_corpus
+from tests.similarity.oracle import dp_levenshtein
 
 #: The only counters allowed to differ between the two paths.
 BATCH_ONLY = {"batched_pairs", "batch_prefilter_drops"}
@@ -102,9 +103,8 @@ class TestPlanDifferential:
                 == [serial_plan.score(left, right) for left, right in block]
         assert stats_modulo_batch(batch_stats) \
             == stats_modulo_batch(serial_stats)
-        # The arena actually absorbed full edit evaluations.
-        assert batch.arena.runs > 0
-        assert batch.arena.cells_computed <= batch.arena.cells_naive
+        # The block actually paid full edit evaluations.
+        assert batch_stats.edit_full_evals > 0
 
     @pytest.mark.parametrize("seed", [7, 41])
     def test_decide_block_identical_decisions(self, seed):
@@ -124,44 +124,35 @@ class TestPlanDifferential:
 
 
 # ---------------------------------------------------------------------------
-# The DP arena computes exact distances while skipping shared-prefix work
+# The edit kernel on window-shaped traffic: repeated anchors, sorted
+# neighbors sharing prefixes, equal strings, switching patterns
 
 
-class TestDpArena:
+class TestEditKernel:
     WORDS = ["", "a", "ab", "abc", "abd", "abcdef", "abcdeg", "xyz",
              "casablanca", "casablanka", "casa", "blanca"]
 
     def test_exact_distances_in_any_order(self):
-        arena = DpArena()
         for pattern in self.WORDS:
             for text in self.WORDS:
-                assert arena.distance(text, pattern) \
-                    == levenshtein_distance(text, pattern), (text, pattern)
+                assert levenshtein_distance(text, pattern) \
+                    == dp_levenshtein(text, pattern), (text, pattern)
 
-    def test_sorted_texts_resume_from_shared_prefixes(self):
-        texts = sorted(self.WORDS)
-        arena = DpArena()
-        for text in texts:
-            assert arena.distance(text, "casablanca") \
-                == levenshtein_distance(text, "casablanca")
-        # Sorted order shares prefixes, so resumed columns must beat
-        # independent full matrices.
-        assert 0 < arena.cells_computed < arena.cells_naive
+    def test_sorted_texts_against_one_anchor(self):
+        for text in sorted(self.WORDS):
+            assert levenshtein_distance(text, "casablanca") \
+                == dp_levenshtein(text, "casablanca")
 
-    def test_equal_strings_shortcut_keeps_resume_state_consistent(self):
-        arena = DpArena()
-        assert arena.distance("casab", "casablanca") == 5
-        # Equal-strings shortcut: returns without touching the columns...
-        assert arena.distance("casablanca", "casablanca") == 0
-        # ...so the next resume still continues from "casab"'s columns.
-        assert arena.distance("casaz", "casablanca") \
-            == levenshtein_distance("casaz", "casablanca")
+    def test_equal_strings_between_neighbors(self):
+        assert levenshtein_distance("casab", "casablanca") == 5
+        assert levenshtein_distance("casablanca", "casablanca") == 0
+        assert levenshtein_distance("casaz", "casablanca") \
+            == dp_levenshtein("casaz", "casablanca")
 
-    def test_pattern_switch_resets_columns(self):
-        arena = DpArena()
-        assert arena.distance("abc", "abd") == 1
-        assert arena.distance("abc", "xbd") == 2
-        assert arena.distance("", "xbd") == 3
+    def test_pattern_switch(self):
+        assert levenshtein_distance("abc", "abd") == 1
+        assert levenshtein_distance("abc", "xbd") == 2
+        assert levenshtein_distance("", "xbd") == 3
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.similarity import (ComparisonPlan, ComparisonStats, PairBatch,
                               PhiCache, PlanField)
+from tests.conftest import budget
 from tests.similarity.conftest import PHI_NAMES, adversarial_text
 
 BATCH_ONLY = {"batched_pairs", "batch_prefilter_drops"}
@@ -62,7 +63,7 @@ def stats_modulo_batch(plan):
             if name not in BATCH_ONLY}
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=budget(120), deadline=None)
 @given(case=spec_and_block(with_threshold=False))
 def test_score_block_bitwise_equals_pairwise_scores(case):
     fields, threshold, block = case
@@ -74,7 +75,7 @@ def test_score_block_bitwise_equals_pairwise_scores(case):
     assert batched.stats.batched_pairs == len(block)
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=budget(120), deadline=None)
 @given(case=spec_and_block(with_threshold=True))
 def test_decide_block_equals_pairwise_decisions(case):
     fields, threshold, block = case
@@ -88,7 +89,7 @@ def test_decide_block_equals_pairwise_decisions(case):
                         for left, right in block]
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=budget(120), deadline=None)
 @given(case=spec_and_block(with_threshold=True))
 def test_evaluate_block_reproduces_outcomes_and_stats(case):
     fields, threshold, block = case
@@ -103,7 +104,7 @@ def test_evaluate_block_reproduces_outcomes_and_stats(case):
     assert stats_modulo_batch(batched) == stats_modulo_batch(serial)
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=budget(120), deadline=None)
 @given(case=spec_and_block(with_threshold=True))
 def test_prefilter_drops_are_sound(case):
     """A batch-dropped pair is provably below threshold."""

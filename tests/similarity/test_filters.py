@@ -1,4 +1,4 @@
-"""Unit tests for comparison filters (length/bag bounds, banded DP)."""
+"""Unit tests for comparison filters (length/bag bounds, capped distance)."""
 
 import pytest
 

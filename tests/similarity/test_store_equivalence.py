@@ -15,6 +15,7 @@ from repro.core import SxnmDetector
 from repro.core.observer import CounterObserver
 from repro.datagen import generate_dirty_movies
 from repro.experiments import dataset1_config
+from tests.conftest import budget
 
 
 def outcome_view(result):
@@ -31,7 +32,7 @@ def run(document, *, window, od_threshold, cache_dir=None):
     return outcome_view(detector.run(document)), counter
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=budget(12), deadline=None)
 @given(count=st.integers(min_value=8, max_value=40),
        seed=st.integers(min_value=0, max_value=2**16),
        profile=st.sampled_from(["effectiveness", "few", "many"]),
@@ -60,7 +61,7 @@ def test_cached_uncached_and_warm_runs_are_bit_identical(
     assert warm_counter.counts.get("cache_entries_flushed", 0) == 0
 
 
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=budget(8), deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**16),
        threshold_pair=st.tuples(
            st.floats(min_value=0.3, max_value=0.95),

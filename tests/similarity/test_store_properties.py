@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.similarity import get_similarity
 from repro.similarity.store import PersistentPhiCache
+from tests.conftest import budget
 from tests.similarity.conftest import PHI_NAMES, adversarial_text
 
 
@@ -23,7 +24,7 @@ def phi_and_pair(draw):
             draw(adversarial_text), draw(adversarial_text))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=budget(150), deadline=None)
 @given(cases=st.lists(phi_and_pair(), min_size=1, max_size=12))
 def test_disk_served_score_equals_fresh_evaluation(tmp_path_factory, cases):
     directory = tmp_path_factory.mktemp("phistore")
@@ -44,7 +45,7 @@ def test_disk_served_score_equals_fresh_evaluation(tmp_path_factory, cases):
         assert served == get_similarity(phi)(left, right)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=budget(150), deadline=None)
 @given(value=st.floats(allow_nan=False, allow_infinity=False),
        left=adversarial_text, right=adversarial_text)
 def test_any_finite_float_round_trips_exactly(tmp_path_factory, value,
@@ -61,7 +62,7 @@ def test_any_finite_float_round_trips_exactly(tmp_path_factory, value,
     assert math.copysign(1.0, served) == math.copysign(1.0, value)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=budget(60), deadline=None)
 @given(left=adversarial_text, right=adversarial_text)
 def test_nonfinite_values_never_enter_the_store(tmp_path_factory, left,
                                                 right):
@@ -73,7 +74,7 @@ def test_nonfinite_values_never_enter_the_store(tmp_path_factory, left,
     assert store.flush() == 0
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=budget(100), deadline=None)
 @given(keys=st.lists(st.tuples(st.sampled_from(PHI_NAMES),
                                adversarial_text, adversarial_text),
                      min_size=1, max_size=8, unique=True))
