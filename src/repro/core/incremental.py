@@ -167,7 +167,7 @@ class IncrementalSxnm:
         self.window = window
         self.decision: Decision = decision
         if index_dir is not None:
-            config.index_dir = index_dir
+            config = config.with_overrides(index_dir=index_dir)
         self._key_source = AccumulatingKeySource(config)
         self._closure = LiveClosure()
         # use_index=False: the session owns the index (one session
