@@ -58,15 +58,6 @@ class ProgressObserver(EngineObserver):
         self._line(f"candidate {candidate}: pass over key {key_index + 1} "
                    f"made {comparisons} comparisons")
 
-    def pass_dispatched(self, candidate, key_index, shards):
-        self._line(f"candidate {candidate}: pass over key {key_index + 1} "
-                   f"dispatched as {shards} parallel shard(s)")
-
-    def pass_merged(self, candidate, key_index, comparisons, redundant):
-        self._line(f"candidate {candidate}: pass over key {key_index + 1} "
-                   f"merged ({comparisons} comparisons, "
-                   f"{redundant} redundant)")
-
     def strategy_pairs_generated(self, candidate, strategy, generated, fresh):
         self._line(f"candidate {candidate}: strategy {strategy} proposed "
                    f"{generated} pair(s) ({fresh} fresh)")
@@ -238,10 +229,8 @@ def _cmd_detect(args: argparse.Namespace) -> int:
                 print("# warning: falling back to the configured thresholds "
                       "as a degenerate zero-width band", file=sys.stderr)
     result = SxnmDetector(config, use_filters=use_filters,
-                          workers=getattr(args, "workers", None),
                           phi_cache_dir=getattr(args, "phi_cache_dir", None),
                           batch_compare=batch_compare,
-                          execution_plane=getattr(args, "plane", None),
                           index_dir=getattr(args, "index", None),
                           stream=(True if stream else None),
                           spill_dir=getattr(args, "spill_dir", None),
@@ -533,11 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(length/bag filters, capped edit distances, "
                              "upper-bound aborts); identical results, "
                              "fewer expensive comparisons")
-    detect.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="shard window passes across N worker processes "
-                             "(identical pairs and clusters; comparison "
-                             "counts may rise); default: the configuration's "
-                             "'workers' attribute")
     detect.add_argument("--phi-cache-dir", default=None, metavar="DIR",
                         dest="phi_cache_dir",
                         help="persist exact phi scores in DIR across runs "
@@ -551,15 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "prefilters); identical pairs "
                              "and clusters; default: the configuration's "
                              "'batchCompare' attribute")
-    detect.add_argument("--plane", default=None, dest="plane",
-                        choices=("auto", "serial", "threads", "shm"),
-                        help="execution backend for the window passes: "
-                             "'serial' in-process, 'threads' a warm thread "
-                             "pool, 'shm' a warm process pool fed through "
-                             "shared-memory segments, 'auto' serial for one "
-                             "worker and shm otherwise; identical pairs and "
-                             "clusters on every backend; default: the "
-                             "configuration's 'executionPlane' attribute")
     detect.add_argument("--index", default=None, metavar="DIR",
                         help="persist run state (GK tables, per-candidate "
                              "pairs and stats) to a detection index in DIR; "

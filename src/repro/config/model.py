@@ -35,23 +35,6 @@ DEFAULT_DUPLICATE_THRESHOLD = 0.65
 # LRU).  0 disables memoization.  Kept here rather than imported from
 # repro.similarity so the config layer stays dependency-free.
 DEFAULT_PHI_CACHE_SIZE = 32768
-# Worker processes for the detection phase (1 = serial) and the table
-# size below which a candidate always runs serially (process start-up
-# and row pickling dwarf the comparison work on small tables).  Kept
-# here rather than imported from repro.core.parallel for the same
-# dependency-freedom reason as above.
-DEFAULT_WORKERS = 1
-DEFAULT_PARALLEL_MIN_ROWS = 64
-# Execution-plane selection and its shared-memory transport.  "auto"
-# picks the serial backend for one worker and the shared-memory backend
-# otherwise; "serial"/"threads"/"shm" force a backend.  Candidate
-# payloads below DEFAULT_SHARED_MEMORY_MIN_BYTES ship inline with the
-# worker tasks instead of through a shared-memory segment.  Kept here
-# rather than imported from repro.core.execution for the same
-# dependency-freedom reason as above.
-DEFAULT_EXECUTION_PLANE = "auto"
-DEFAULT_WORKER_POOL_PERSIST = True
-DEFAULT_SHARED_MEMORY_MIN_BYTES = 65536
 # Detection index: a directory where per-run state (GK tables,
 # confirmed pairs, incremental session snapshots) persists across
 # process restarts, making runs resumable.  None keeps all run state
@@ -324,20 +307,13 @@ class SxnmConfig:
 
     ``use_filters`` arms the comparison plane's pruning layers by
     default (overridable per detector); ``phi_cache_size`` bounds the
-    shared φ memo cache (0 disables it).  ``workers`` shards the window
-    passes across that many processes (1 = serial), except for
-    candidates with fewer than ``parallel_min_rows`` GK rows, which stay
-    serial.  ``phi_cache_dir`` names a directory where exact φ scores
-    persist *across* runs (``None`` keeps the memo in-memory only) and
-    ``phi_cache_persist`` gates it without forgetting the path.
+    shared φ memo cache (0 disables it).  ``phi_cache_dir`` names a
+    directory where exact φ scores persist *across* runs (``None`` keeps
+    the memo in-memory only) and ``phi_cache_persist`` gates it without
+    forgetting the path.
     ``batch_compare`` classifies each window block of pairs in one
     batched call over the comparison plane (per-string artifacts,
     column-wise prefilters) instead of pair by pair.
-    ``execution_plane`` selects the execution backend ("auto" resolves
-    to serial for one worker, shared-memory otherwise);
-    ``worker_pool_persist`` keeps worker pools warm across runs in the
-    same process; ``shared_memory_min_bytes`` is the payload size below
-    which candidates ship inline rather than via a shared segment.
     ``index_dir`` names a :class:`~repro.core.index.DetectionIndex`
     directory where per-run detection state persists so interrupted
     runs and incremental sessions resume from disk (``None`` keeps run
@@ -347,8 +323,8 @@ class SxnmConfig:
     rows to checksummed sorted run files under ``spill_dir``, at most
     ``spill_max_rows`` rows buffered at a time, and window passes
     slide over the externally merged streams.  None of these knobs
-    changes detected duplicates — only how much work comparisons cost,
-    where they run, and whether state survives a restart.
+    changes detected duplicates — only how much work comparisons cost
+    and whether state survives a restart.
 
     ``neighborhood_strategies`` is the exception: a non-empty list
     replaces the window-only neighborhood with a union of candidate-pair
@@ -366,12 +342,7 @@ class SxnmConfig:
     phi_cache_size: int = DEFAULT_PHI_CACHE_SIZE
     phi_cache_dir: str | None = None
     phi_cache_persist: bool = True
-    workers: int = DEFAULT_WORKERS
-    parallel_min_rows: int = DEFAULT_PARALLEL_MIN_ROWS
     batch_compare: bool = False
-    execution_plane: str = DEFAULT_EXECUTION_PLANE
-    worker_pool_persist: bool = DEFAULT_WORKER_POOL_PERSIST
-    shared_memory_min_bytes: int = DEFAULT_SHARED_MEMORY_MIN_BYTES
     index_dir: str | None = None
     index_persist: bool = DEFAULT_INDEX_PERSIST
     stream_parse: bool = False

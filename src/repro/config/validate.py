@@ -170,16 +170,6 @@ def validate_config(config: SxnmConfig) -> list[str]:
     if config.phi_cache_dir is not None and config.phi_cache_size == 0:
         problems.append("phi cache dir needs a positive phi cache size "
                         "(the in-memory memo feeds the persistent spill)")
-    if config.workers < 1:
-        problems.append("workers must be >= 1 (1 runs serially)")
-    if config.parallel_min_rows < 0:
-        problems.append("parallel min rows must be >= 0")
-    if config.execution_plane not in ("auto", "serial", "threads", "shm"):
-        problems.append(
-            f"execution plane {config.execution_plane!r} unknown "
-            f"(expected 'auto', 'serial', 'threads', or 'shm')")
-    if config.shared_memory_min_bytes < 0:
-        problems.append("shared memory min bytes must be >= 0")
     if config.index_dir is not None and not str(config.index_dir).strip():
         problems.append("index dir must be a non-empty path or None")
     if config.spill_dir is not None and not str(config.spill_dir).strip():

@@ -158,22 +158,8 @@ def config_from_document(document: XmlDocument) -> SxnmConfig:
         config.phi_cache_dir = phi_cache_dir
     config.phi_cache_persist = _get_bool(root, "phiCachePersist",
                                          config.phi_cache_persist)
-    workers = _get_int(root, "workers")
-    if workers is not None:
-        config.workers = workers
-    parallel_min_rows = _get_int(root, "parallelMinRows")
-    if parallel_min_rows is not None:
-        config.parallel_min_rows = parallel_min_rows
     config.batch_compare = _get_bool(root, "batchCompare",
                                      config.batch_compare)
-    execution_plane = root.get("executionPlane")
-    if execution_plane is not None:
-        config.execution_plane = execution_plane
-    config.worker_pool_persist = _get_bool(root, "workerPoolPersist",
-                                           config.worker_pool_persist)
-    shared_memory_min_bytes = _get_int(root, "sharedMemoryMinBytes")
-    if shared_memory_min_bytes is not None:
-        config.shared_memory_min_bytes = shared_memory_min_bytes
     index_dir = root.get("indexDir")
     if index_dir is not None:
         config.index_dir = index_dir
@@ -268,18 +254,12 @@ def config_to_document(config: SxnmConfig) -> XmlDocument:
         "duplicateThreshold": repr(config.duplicate_threshold),
         "useFilters": "true" if config.use_filters else "false",
         "phiCacheSize": str(config.phi_cache_size),
-        "workers": str(config.workers),
-        "parallelMinRows": str(config.parallel_min_rows),
         "batchCompare": "true" if config.batch_compare else "false",
-        "executionPlane": config.execution_plane,
-        "sharedMemoryMinBytes": str(config.shared_memory_min_bytes),
     })
     if config.phi_cache_dir is not None:
         root.set("phiCacheDir", config.phi_cache_dir)
     if not config.phi_cache_persist:
         root.set("phiCachePersist", "false")
-    if not config.worker_pool_persist:
-        root.set("workerPoolPersist", "false")
     if config.index_dir is not None:
         root.set("indexDir", config.index_dir)
     if not config.index_persist:

@@ -7,8 +7,7 @@ attacks exactly that gap behind the engine's existing
 ``NeighborhoodStrategy`` seam with a family of candidate-pair
 *generators* — they propose pairs without comparing them — plus a
 :class:`UnionStrategy` that unions the proposals, deduplicates them,
-compares each exactly once through the execution plane's
-:meth:`~repro.core.execution.ExecutionPlane.pairs_pass`, and attributes
+compares each exactly once (:func:`pairs_pass`), and attributes
 every generated/compared/confirmed pair to the member that first
 proposed it (per-strategy counters in
 :class:`~repro.similarity.plan.ComparisonStats`).
@@ -40,7 +39,7 @@ needs random row access by construction.
 
 A union with the window as its *only* member delegates to the native
 :class:`~repro.core.stages.FixedWindowStrategy` path — bit-identical
-pairs and comparison counts, sharded execution included.
+pairs and comparison counts.
 """
 
 from __future__ import annotations
@@ -329,13 +328,45 @@ class WindowMember:
         return generated
 
 
+#: Pairs per compare_block call in :func:`pairs_pass` — bounds the
+#: per-call row materialization without starving the batch layer's
+#: column-wise prefilters.
+PAIR_BLOCK_ROWS = 512
+
+
+def pairs_pass(ctx: CandidateContext,
+               pair_list: list[tuple[int, int]]) -> int:
+    """Compare an explicit candidate-pair list; returns comparisons.
+
+    ``pair_list`` holds normalized ``(low_eid, high_eid)`` pairs,
+    already deduplicated by the caller; each is compared exactly once,
+    in list order, and confirmed duplicates land in ``ctx.pairs``.
+    """
+    comparisons = 0
+    row = ctx.table.row
+    if ctx.compare_block is not None:
+        for low in range(0, len(pair_list), PAIR_BLOCK_ROWS):
+            chunk = pair_list[low:low + PAIR_BLOCK_ROWS]
+            block = [(row(left), row(right)) for left, right in chunk]
+            comparisons += len(block)
+            for pair, verdict in zip(chunk, ctx.compare_block(block)):
+                if verdict.is_duplicate:
+                    ctx.pairs.add(pair)
+        return comparisons
+    compare = ctx.compare
+    for left, right in pair_list:
+        comparisons += 1
+        if compare(row(left), row(right)).is_duplicate:
+            ctx.pairs.add((left, right))
+    return comparisons
+
+
 class UnionStrategy:
     """Union the pair sets of several generators; compare each pair once.
 
     Members propose in list order; the first proposer of a pair owns it
-    for attribution.  The deduplicated union is compared through the
-    execution plane's ``pairs_pass`` (sharding across workers like any
-    other pass), confirmed pairs land in ``ctx.pairs``, and the
+    for attribution.  The deduplicated union is compared by
+    :func:`pairs_pass`, confirmed pairs land in ``ctx.pairs``, and the
     per-strategy generated/fresh/compared/duplicates counters are
     written into the decider's ``ComparisonStats.strategy_counters`` —
     by construction the ``compared`` counters sum exactly to the pass's
@@ -445,14 +476,13 @@ class UnionStrategy:
             return outcome
         proposed, owners, counters = self.propose(ctx)
         pair_list = sorted(proposed)
-        outcome = ctx.execution_plane().pairs_pass(ctx, pair_list)
+        comparisons = pairs_pass(ctx, pair_list)
         for pair in pair_list:
             counters[owners[pair]][COUNTER_COMPARED] += 1
         for pair in ctx.pairs & proposed:
             counters[owners[pair]][COUNTER_DUPLICATES] += 1
         self._record(ctx, counters)
-        return NeighborhoodOutcome(outcome.comparisons,
-                                   filtered=outcome.filtered)
+        return NeighborhoodOutcome(comparisons)
 
 
 # ---------------------------------------------------------------------------

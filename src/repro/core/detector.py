@@ -25,7 +25,6 @@ from .blocking import build_union_strategy
 from .engine import DetectionEngine
 from .gk import GkTable
 from .observer import EngineObserver
-from .parallel import ParallelWindowStrategy
 from .results import (CandidateOutcome, KeySelection,  # noqa: F401
                       PhaseTimings, SxnmResult, select_key_indices)
 from .simmeasure import Decision
@@ -71,7 +70,7 @@ class SxnmDetector:
         mode.
     review_queue:
         A :class:`~repro.decision.queue.ReviewQueue` collecting
-        REVIEW-banded pairs (serial plane).
+        REVIEW-banded pairs.
     consistency:
         Force the anti-transitivity demotion pass on/off; ``None``
         (default) enables it exactly when the band has width.
@@ -98,13 +97,6 @@ class SxnmDetector:
         Use DE-SNM-style passes (Sec. 5 outlook): equal-key groups are
         confirmed against one anchor and only representatives enter the
         window — fewer comparisons on heavily duplicated data.
-    workers:
-        Shard the window passes across this many worker processes
-        (``repro.core.parallel``).  Pairs and clusters are bit-identical
-        to the serial run; comparison counts may rise (recorded as
-        ``redundant_comparisons`` in the comparison stats).  ``None``
-        (default) defers to ``config.workers``; candidates smaller than
-        ``config.parallel_min_rows`` always run serially.
     phi_cache_dir:
         Directory for the persistent cross-run φ cache
         (``repro.similarity.store``): exact φ scores load on run start
@@ -121,12 +113,6 @@ class SxnmDetector:
         Pairs, clusters, and every non-batch stats counter are
         bit-identical to the pair-at-a-time path.  ``None`` (default) defers to
         ``config.batch_compare``.
-    execution_plane:
-        Execution backend for the window passes: ``"auto"`` (serial for
-        one worker, shared-memory otherwise), ``"serial"``,
-        ``"threads"``, or ``"shm"`` (``repro.core.execution``).  All
-        backends produce bit-identical pairs and clusters.  ``None``
-        (default) defers to ``config.execution_plane``.
     index_dir:
         Directory for the persistent detection index
         (``repro.core.index``): every completed candidate's state is
@@ -176,10 +162,8 @@ class SxnmDetector:
                  use_filters: bool | None = None,
                  theories: dict[str, XmlEquationalTheory] | None = None,
                  duplicate_elimination: bool = False,
-                 workers: int | None = None,
                  phi_cache_dir: str | None = None,
                  batch_compare: bool | None = None,
-                 execution_plane: str | None = None,
                  index_dir: str | None = None,
                  stream: bool | None = None,
                  spill_dir: str | None = None,
@@ -204,7 +188,6 @@ class SxnmDetector:
             "decision_coverage": decision_coverage,
             "phi_cache_dir": phi_cache_dir,
             "batch_compare": batch_compare,
-            "execution_plane": execution_plane,
             "index_dir": index_dir,
             "stream_parse": stream,
             "spill_dir": spill_dir,
@@ -229,10 +212,8 @@ class SxnmDetector:
                             else config.use_filters)
         self.theories = dict(theories or {})
         self.duplicate_elimination = duplicate_elimination
-        self.workers = workers if workers is not None else config.workers
         self.phi_cache_dir = config.phi_cache_dir
         self.batch_compare = config.batch_compare
-        self.execution_plane = config.execution_plane
         self.index_dir = config.index_dir
         self.stream = config.stream_parse
         self.strategies = list(config.neighborhood_strategies)
@@ -243,10 +224,6 @@ class SxnmDetector:
                 duplicate_elimination=duplicate_elimination)
         elif self.stream:
             neighborhood = SpilledWindowStrategy(
-                duplicate_elimination=duplicate_elimination)
-        elif self.workers > 1 and self.execution_plane != "serial":
-            neighborhood = ParallelWindowStrategy(
-                workers=self.workers,
                 duplicate_elimination=duplicate_elimination)
         else:
             neighborhood = FixedWindowStrategy(
@@ -271,8 +248,7 @@ class SxnmDetector:
             decision=(TheoryPolicy(self.theories, policy) if self.theories
                       else policy),
             closure=MethodClosure(closure_method),
-            observers=observers,
-            workers=self.workers)
+            observers=observers)
         self.config = self.engine.config
         self.hierarchy = self.engine.hierarchy
 

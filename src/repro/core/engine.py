@@ -36,7 +36,6 @@ from ..similarity import ComparisonStats
 from ..xmlmodel import XmlDocument
 from .candidates import CandidateHierarchy
 from .clusters import ClusterSet
-from .execution import make_plane
 from .index import corpus_checksum, run_signature
 from .observer import (PHASE_CLOSURE, PHASE_KEY_GENERATION, PHASE_WINDOW,
                        EngineObserver, ObserverGroup)
@@ -62,11 +61,6 @@ class DetectionEngine:
     observers:
         :class:`EngineObserver` instances receiving engine events.
         More can be attached later with :meth:`add_observer`.
-    workers:
-        Worker count for the run's execution plane; ``None`` reads
-        ``config.workers``.  The plane itself is selected per run from
-        ``config.execution_plane`` (see
-        :func:`repro.core.execution.make_plane`).
     use_index:
         Honor ``config.index_dir`` by persisting run state to a
         :class:`~repro.core.index.DetectionIndex`.  Wrappers that own
@@ -80,10 +74,8 @@ class DetectionEngine:
                  decision: DecisionPolicy | None = None,
                  closure: ClosureStrategy | None = None,
                  observers: list[EngineObserver] | tuple = (),
-                 workers: int | None = None,
                  use_index: bool = True):
         self.config = ensure_valid(config)
-        self.workers = workers
         self.use_index = use_index
         self.hierarchy = CandidateHierarchy(config)
         self.key_source = key_source if key_source is not None \
@@ -225,139 +217,132 @@ class DetectionEngine:
             emit.phase_finished(PHASE_KEY_GENERATION,
                                 result.timings.key_generation)
 
-        plane = make_plane(self.config, self.workers)
-        plane.open_run(emit)
-
         cluster_sets: dict[str, ClusterSet] = {}
-        try:
-            for node in self.order:
-                spec = node.spec
-                table = tables[spec.name]
-                if emit is not None:
-                    emit.candidate_started(spec.name, len(table))
+        for node in self.order:
+            spec = node.spec
+            table = tables[spec.name]
+            if emit is not None:
+                emit.candidate_started(spec.name, len(table))
 
-                restored = index.load_candidate(spec.name) if resuming \
-                    else None
-                if restored is not None:
-                    # The committed pairs rebuild clusters canonically
-                    # (ClusterSet sorts), so descendant evidence for
-                    # later candidates is bit-identical to the
-                    # uninterrupted run.
-                    pairs = restored["pairs"]
-                    cluster_set = self.closure.close(spec.name, pairs,
-                                                     table.eids())
-                    cluster_sets[spec.name] = cluster_set
-                    compare_stats = None
-                    if restored["stats"] is not None:
-                        compare_stats = ComparisonStats(**restored["stats"])
-                    outcome = CandidateOutcome(
-                        name=spec.name, cluster_set=cluster_set,
-                        pairs=pairs, comparisons=restored["comparisons"],
-                        window_seconds=restored["window_seconds"],
-                        closure_seconds=restored["closure_seconds"],
-                        filtered_comparisons=restored["filtered"],
-                        compare_stats=compare_stats)
-                    result.outcomes[spec.name] = outcome
-                    result.timings.window += outcome.window_seconds
-                    result.timings.closure += outcome.closure_seconds
-                    if emit is not None:
-                        if compare_stats is not None:
-                            emit.comparison_stats(spec.name, compare_stats)
-                        emit.candidate_finished(spec.name, outcome)
-                    continue
-
-                candidate_cache = None
-                if od_cache is not None:
-                    candidate_cache = od_cache.setdefault(spec.name, {})
-                decider = self.decision.decider(spec, self.config,
-                                                cluster_sets, candidate_cache)
-                if emit is not None:
-                    calibration = getattr(decider, "calibration", None)
-                    if calibration is not None:
-                        emit.decision_calibrated(spec.name, calibration)
-                filtered_before = decider.filtered_comparisons
-                compare: Compare = decider.compare
-                compare_block = None
-                if getattr(self.config, "batch_compare", False):
-                    compare_block = getattr(decider, "compare_block", None)
-                if emit is not None:
-                    compare = self._instrumented(spec.name, decider.compare,
-                                                 emit)
-                    if compare_block is not None:
-                        compare_block = self._instrumented_block(
-                            spec.name, compare_block, emit)
-
-                key_indices = select_key_indices(
-                    table, key_selection,
-                    warn=emit.warning if emit is not None else None)
-                effective_window = (window if window is not None
-                                    else self.config.effective_window(spec))
-                pairs: set[tuple[int, int]] = set()
-                ctx = CandidateContext(
-                    node=node, spec=spec, config=self.config, table=table,
-                    tables=tables, window=effective_window,
-                    key_indices=key_indices, compare=compare, pairs=pairs,
-                    cluster_sets=cluster_sets, emit=emit, decider=decider,
-                    compare_block=compare_block, plane=plane,
-                    interned_rows=(index.interned_rows(spec.name)
-                                   if tables_from_index else None))
-
-                if emit is not None:
-                    emit.phase_started(PHASE_WINDOW, spec.name)
-                window_start = time.perf_counter()
-                neighborhood = self.neighborhood.find_pairs(ctx)
-                window_seconds = time.perf_counter() - window_start
-                demote = getattr(decider, "demote_inconsistent", None)
-                if demote is not None:
-                    # Three-way deciders resolve anti-transitive evidence
-                    # before closure: AUTO_DUP chains that would swallow
-                    # an AUTO_KEEP pair lose their weakest edge to REVIEW.
-                    for left_eid, right_eid, score in demote(pairs):
-                        if emit is not None:
-                            emit.pair_demoted(spec.name, left_eid,
-                                              right_eid, score)
-                if emit is not None:
-                    emit.phase_finished(PHASE_WINDOW, window_seconds,
-                                        spec.name)
-                    emit.phase_started(PHASE_CLOSURE, spec.name)
-
-                closure_start = time.perf_counter()
+            restored = index.load_candidate(spec.name) if resuming \
+                else None
+            if restored is not None:
+                # The committed pairs rebuild clusters canonically
+                # (ClusterSet sorts), so descendant evidence for
+                # later candidates is bit-identical to the
+                # uninterrupted run.
+                pairs = restored["pairs"]
                 cluster_set = self.closure.close(spec.name, pairs,
                                                  table.eids())
-                closure_seconds = time.perf_counter() - closure_start
-                if emit is not None:
-                    emit.phase_finished(PHASE_CLOSURE, closure_seconds,
-                                        spec.name)
-
                 cluster_sets[spec.name] = cluster_set
-                compare_stats = getattr(decider, "stats", None)
+                compare_stats = None
+                if restored["stats"] is not None:
+                    compare_stats = ComparisonStats.from_dict(
+                        restored["stats"])
                 outcome = CandidateOutcome(
-                    name=spec.name, cluster_set=cluster_set, pairs=pairs,
-                    comparisons=neighborhood.comparisons,
-                    window_seconds=window_seconds,
-                    closure_seconds=closure_seconds,
-                    filtered_comparisons=neighborhood.filtered
-                    + (decider.filtered_comparisons - filtered_before),
+                    name=spec.name, cluster_set=cluster_set,
+                    pairs=pairs, comparisons=restored["comparisons"],
+                    window_seconds=restored["window_seconds"],
+                    closure_seconds=restored["closure_seconds"],
+                    filtered_comparisons=restored["filtered"],
                     compare_stats=compare_stats)
                 result.outcomes[spec.name] = outcome
-                result.timings.window += window_seconds
-                result.timings.closure += closure_seconds
-                if index is not None and index.usable:
-                    stats_dict = (compare_stats.as_dict()
-                                  if compare_stats is not None else None)
-                    committed = index.commit_candidate(
-                        spec.name, pairs, neighborhood.comparisons,
-                        outcome.filtered_comparisons, window_seconds,
-                        closure_seconds, stats_dict)
-                    if committed and emit is not None:
-                        emit.index_committed(index.directory, spec.name,
-                                             len(pairs))
+                result.timings.window += outcome.window_seconds
+                result.timings.closure += outcome.closure_seconds
                 if emit is not None:
                     if compare_stats is not None:
                         emit.comparison_stats(spec.name, compare_stats)
                     emit.candidate_finished(spec.name, outcome)
-        finally:
-            plane.finish_run()
+                continue
+
+            candidate_cache = None
+            if od_cache is not None:
+                candidate_cache = od_cache.setdefault(spec.name, {})
+            decider = self.decision.decider(spec, self.config,
+                                            cluster_sets, candidate_cache)
+            if emit is not None:
+                calibration = getattr(decider, "calibration", None)
+                if calibration is not None:
+                    emit.decision_calibrated(spec.name, calibration)
+            filtered_before = decider.filtered_comparisons
+            compare: Compare = decider.compare
+            compare_block = None
+            if getattr(self.config, "batch_compare", False):
+                compare_block = getattr(decider, "compare_block", None)
+            if emit is not None:
+                compare = self._instrumented(spec.name, decider.compare,
+                                             emit)
+                if compare_block is not None:
+                    compare_block = self._instrumented_block(
+                        spec.name, compare_block, emit)
+
+            key_indices = select_key_indices(
+                table, key_selection,
+                warn=emit.warning if emit is not None else None)
+            effective_window = (window if window is not None
+                                else self.config.effective_window(spec))
+            pairs: set[tuple[int, int]] = set()
+            ctx = CandidateContext(
+                node=node, spec=spec, config=self.config, table=table,
+                tables=tables, window=effective_window,
+                key_indices=key_indices, compare=compare, pairs=pairs,
+                cluster_sets=cluster_sets, emit=emit, decider=decider,
+                compare_block=compare_block)
+
+            if emit is not None:
+                emit.phase_started(PHASE_WINDOW, spec.name)
+            window_start = time.perf_counter()
+            neighborhood = self.neighborhood.find_pairs(ctx)
+            window_seconds = time.perf_counter() - window_start
+            demote = getattr(decider, "demote_inconsistent", None)
+            if demote is not None:
+                # Three-way deciders resolve anti-transitive evidence
+                # before closure: AUTO_DUP chains that would swallow
+                # an AUTO_KEEP pair lose their weakest edge to REVIEW.
+                for left_eid, right_eid, score in demote(pairs):
+                    if emit is not None:
+                        emit.pair_demoted(spec.name, left_eid,
+                                          right_eid, score)
+            if emit is not None:
+                emit.phase_finished(PHASE_WINDOW, window_seconds,
+                                    spec.name)
+                emit.phase_started(PHASE_CLOSURE, spec.name)
+
+            closure_start = time.perf_counter()
+            cluster_set = self.closure.close(spec.name, pairs,
+                                             table.eids())
+            closure_seconds = time.perf_counter() - closure_start
+            if emit is not None:
+                emit.phase_finished(PHASE_CLOSURE, closure_seconds,
+                                    spec.name)
+
+            cluster_sets[spec.name] = cluster_set
+            compare_stats = getattr(decider, "stats", None)
+            outcome = CandidateOutcome(
+                name=spec.name, cluster_set=cluster_set, pairs=pairs,
+                comparisons=neighborhood.comparisons,
+                window_seconds=window_seconds,
+                closure_seconds=closure_seconds,
+                filtered_comparisons=neighborhood.filtered
+                + (decider.filtered_comparisons - filtered_before),
+                compare_stats=compare_stats)
+            result.outcomes[spec.name] = outcome
+            result.timings.window += window_seconds
+            result.timings.closure += closure_seconds
+            if index is not None and index.usable:
+                stats_dict = (compare_stats.as_dict()
+                              if compare_stats is not None else None)
+                committed = index.commit_candidate(
+                    spec.name, pairs, neighborhood.comparisons,
+                    outcome.filtered_comparisons, window_seconds,
+                    closure_seconds, stats_dict)
+                if committed and emit is not None:
+                    emit.index_committed(index.directory, spec.name,
+                                         len(pairs))
+            if emit is not None:
+                if compare_stats is not None:
+                    emit.comparison_stats(spec.name, compare_stats)
+                emit.candidate_finished(spec.name, outcome)
 
         if phi_store is not None:
             flushed = phi_store.flush()

@@ -21,8 +21,7 @@ directory holding
   config fingerprint it was recorded under.  GK rows are stored with an
   **interned string pool**: every distinct key/OD string appears once
   and rows reference it by position, so loading yields rows whose equal
-  strings are one object — exactly the layout the shared-memory
-  execution plane publishes (it can skip re-interning per run).
+  strings are one object.
 
 The fault discipline mirrors ``similarity/store.py`` exactly: **fail
 cold, never wrong**.  Truncated, corrupted, alien-version, or
@@ -67,7 +66,7 @@ def config_fingerprint(config) -> str:
     Covers the candidate relations (PATH/OD/KEY), per-candidate and
     global detection parameters (window, thresholds, descendant usage
     and weights, φ names) — everything that can change detected pairs.
-    Performance knobs (workers, execution plane, caches, batching) are
+    Performance knobs (caches, batching, streaming) are
     deliberately excluded: they change work, never results, so flipping
     them must not retire a resumable run.
     """
@@ -555,19 +554,6 @@ class DetectionIndex:
             self._payloads.pop("gk", None)
             return None
         return self._tables
-
-    def interned_rows(self, candidate: str) -> list[GkRow] | None:
-        """Document-order rows for ``candidate`` from the interned pool.
-
-        Non-``None`` only when the GK tables were loaded from this
-        index — the rows then already share one object per distinct
-        string, and the shared-memory plane publishes them directly
-        instead of re-interning per run.
-        """
-        if self._tables is None:
-            return None
-        table = self._tables.get(candidate)
-        return list(table) if table is not None else None
 
     # ------------------------------------------------------------------
     # Spilled (out-of-core) GK run state

@@ -14,9 +14,7 @@ Event order within one run::
       candidate_started(name)                # bottom-up (or top-down) order
         phase_started("SW", name)
           pass_started(name, key_index)      # strategies with key passes
-            pass_dispatched(name, key_index, shards)   # parallel strategies
             pair_compared / pair_filtered / pair_confirmed …
-            pass_merged(name, key_index, comparisons, redundant)
           pass_finished(name, key_index)
         phase_finished("SW", name)
         phase_started("TC", name) … phase_finished("TC", name)
@@ -72,24 +70,6 @@ class EngineObserver:
                       comparisons: int) -> None:
         """The pass over key ``key_index`` made ``comparisons`` comparisons."""
 
-    def pass_dispatched(self, candidate: str, key_index: int,
-                        shards: int) -> None:
-        """The pass was sharded into ``shards`` parallel worker tasks.
-
-        Emitted (between ``pass_started`` and ``pass_merged``) only by
-        parallel neighborhood strategies; worker processes do not emit
-        per-pair events.
-        """
-
-    def pass_merged(self, candidate: str, key_index: int, comparisons: int,
-                    redundant: int) -> None:
-        """The pass's shard results were unioned in the parent.
-
-        ``redundant`` counts confirmed pairs already known from earlier
-        shards or passes — comparisons the serial ``skip_known`` path
-        would have avoided.
-        """
-
     def pair_compared(self, candidate: str, left_eid: int, right_eid: int,
                       verdict) -> None:
         """A pair was fully compared; ``verdict`` is the PairVerdict."""
@@ -111,23 +91,6 @@ class EngineObserver:
         hits/misses, filter short-circuits, fields evaluated, pruned
         pairs) for this candidate's run.  Deciders without a comparison
         plan (equational theories) emit nothing.
-        """
-
-    def plane_opened(self, plane: str, workers: int) -> None:
-        """The run's execution plane was selected and opened.
-
-        ``plane`` is the backend name ("serial"/"threads"/"shm"),
-        ``workers`` its worker count (1 for serial).  Emitted once per
-        run, after ``run_started`` and before the first candidate.
-        """
-
-    def segment_published(self, candidate: str, segment: str,
-                          nbytes: int) -> None:
-        """A shared-memory segment was published for ``candidate``.
-
-        ``segment`` is the OS-level segment name and ``nbytes`` its
-        size.  Emitted only by the shared-memory plane, for candidates
-        whose payload clears ``sharedMemoryMinBytes``.
         """
 
     def cache_loaded(self, directory: str, entries: int,
@@ -265,14 +228,6 @@ class ObserverGroup(EngineObserver):
         for observer in self.observers:
             observer.pass_finished(candidate, key_index, comparisons)
 
-    def pass_dispatched(self, candidate, key_index, shards):
-        for observer in self.observers:
-            observer.pass_dispatched(candidate, key_index, shards)
-
-    def pass_merged(self, candidate, key_index, comparisons, redundant):
-        for observer in self.observers:
-            observer.pass_merged(candidate, key_index, comparisons, redundant)
-
     def pair_compared(self, candidate, left_eid, right_eid, verdict):
         for observer in self.observers:
             observer.pair_compared(candidate, left_eid, right_eid, verdict)
@@ -288,21 +243,6 @@ class ObserverGroup(EngineObserver):
     def comparison_stats(self, candidate, stats):
         for observer in self.observers:
             observer.comparison_stats(candidate, stats)
-
-    def plane_opened(self, plane, workers):
-        for observer in self.observers:
-            # getattr-guarded: observers written before the plane events
-            # existed (duck-typed, not subclassing EngineObserver) keep
-            # working.
-            hook = getattr(observer, "plane_opened", None)
-            if hook is not None:
-                hook(plane, workers)
-
-    def segment_published(self, candidate, segment, nbytes):
-        for observer in self.observers:
-            hook = getattr(observer, "segment_published", None)
-            if hook is not None:
-                hook(candidate, segment, nbytes)
 
     def cache_loaded(self, directory, entries, segments):
         for observer in self.observers:
@@ -419,23 +359,6 @@ class CounterObserver(EngineObserver):
 
     def pass_finished(self, candidate, key_index, comparisons):
         self._bump("pass_finished")
-
-    def pass_dispatched(self, candidate, key_index, shards):
-        self._bump("pass_dispatched")
-        self.counts["shards_dispatched"] = \
-            self.counts.get("shards_dispatched", 0) + shards
-
-    def pass_merged(self, candidate, key_index, comparisons, redundant):
-        self._bump("pass_merged")
-
-    def plane_opened(self, plane, workers):
-        self._bump("plane_opened")
-        self.counts[f"plane_{plane}"] = self.counts.get(f"plane_{plane}", 0) + 1
-
-    def segment_published(self, candidate, segment, nbytes):
-        self._bump("segment_published")
-        self.counts["segment_bytes"] = \
-            self.counts.get("segment_bytes", 0) + nbytes
 
     def pair_compared(self, candidate, left_eid, right_eid, verdict):
         self._bump("pair_compared")

@@ -255,30 +255,12 @@ class SimilarityMeasure:
         return verdicts
 
     def _pair_batch(self) -> PairBatch:
-        """The lazily created batch layer (dropped when pickling)."""
+        """The lazily created batch layer."""
         batch = self.__dict__.get("_batch")
         if batch is None:
             batch = PairBatch(self.plan)
             self._batch = batch
         return batch
-
-    def seed_batch_artifacts(
-            self, mapping: dict[str, tuple[int, dict[str, int]]]) -> None:
-        """Seed the batch layer's per-string artifact memo.
-
-        Used by shared-memory workers: the plane publishes each
-        candidate's string artifacts once and every worker seeds its
-        classifier from the segment instead of recomputing them.
-        """
-        self._pair_batch().seed_artifacts(mapping)
-
-    def __getstate__(self):
-        # The batch layer holds per-string artifact memos — per-process
-        # working state, not configuration; worker processes rebuild
-        # their own lazily.
-        state = self.__dict__.copy()
-        state.pop("_batch", None)
-        return state
 
     def _classify(self, left: GkRow, right: GkRow, od: float) -> PairVerdict:
         """Descendant layer + decision rule for an exact OD score."""

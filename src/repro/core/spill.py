@@ -51,7 +51,8 @@ from ..xmlmodel.parser import DEFAULT_CHUNK_SIZE, iter_events_file
 from .candidates import CandidateHierarchy
 from .gk import GkRow
 from .keygen import _extract_row, _OpenCandidate, _plain_steps
-from .stages import BOTTOM_UP, CandidateContext, NeighborhoodOutcome
+from .stages import (BOTTOM_UP, CandidateContext, NeighborhoodOutcome,
+                     candidate_multipass)
 from .window import CompareBlock
 
 SPILL_MAGIC = "sxnm-spill"
@@ -337,13 +338,12 @@ def merge_runs(store: SpillStore, names: list[str],
 class SpilledGkTable:
     """A :class:`~repro.core.gk.GkTable` facade over disk-resident runs.
 
-    Carries the same surface the planes and strategies consume —
+    Carries the same surface the strategies consume —
     ``candidate_name`` / ``key_count`` / ``od_count``, ``__len__``,
-    ``__iter__`` (document order), ``eids()``, ``sorted_by_key()`` —
-    so the parallel execution planes shard a spilled candidate without
-    modification (``sorted_by_key`` materializes; the constant-memory
-    path uses :meth:`iter_sorted_by_key` instead).  Only the eid list
-    stays in memory: O(rows) integers, already required by closure.
+    ``__iter__`` (document order), ``eids()``, ``sorted_by_key()``
+    (``sorted_by_key`` materializes; the constant-memory path uses
+    :meth:`iter_sorted_by_key` instead).  Only the eid list stays in
+    memory: O(rows) integers, already required by closure.
     """
 
     spilled = True
@@ -792,11 +792,8 @@ class SpillingKeySource:
 class SpilledWindowStrategy:
     """Fixed multi-pass windows over disk-resident merged key order.
 
-    For in-memory tables it defers to the execution plane unchanged.
-    For spilled tables it still hands large candidates to a parallel
-    plane (the facade materializes; shards reuse the same
-    ``window_start`` overlap arithmetic, so results stay bit-identical)
-    and otherwise runs the constant-memory streamed kernels, emitting a
+    In-memory tables run :func:`~repro.core.stages.candidate_multipass`.
+    Spilled tables run the constant-memory streamed kernels, emitting a
     ``run_merged`` event per pass.
     """
 
@@ -805,26 +802,11 @@ class SpilledWindowStrategy:
     def __init__(self, duplicate_elimination: bool = False):
         self.duplicate_elimination = duplicate_elimination
 
-    def _plane_worthwhile(self, ctx: CandidateContext, plane) -> bool:
-        if not getattr(plane, "parallel", False):
-            return False
-        if getattr(plane, "workers", 1) <= 1 or not ctx.key_indices:
-            return False
-        resolve = getattr(plane, "_resolved_min_rows", None)
-        if resolve is not None:
-            min_rows = resolve(ctx)
-        else:
-            min_rows = getattr(ctx.config, "parallel_min_rows", 0)
-        return len(ctx.table) >= min_rows
-
     def find_pairs(self, ctx: CandidateContext) -> NeighborhoodOutcome:
-        plane = ctx.execution_plane()
         table = ctx.table
-        if not getattr(table, "spilled", False) \
-                or self._plane_worthwhile(ctx, plane):
-            outcome = plane.multipass(
-                ctx, duplicate_elimination=self.duplicate_elimination)
-            return NeighborhoodOutcome(outcome.comparisons, outcome.filtered)
+        if not getattr(table, "spilled", False):
+            return NeighborhoodOutcome(
+                candidate_multipass(ctx, self.duplicate_elimination))
         total = 0
         for key_index in ctx.key_indices:
             ctx.pass_started(key_index)

@@ -36,13 +36,13 @@ from ..similarity import ComparisonPlan, PhiCache
 from ..xmlmodel import XmlDocument, parse
 from .candidates import CandidateHierarchy, CandidateNode
 from .clusters import ClusterSet
-from .execution import ExecutionPlane, SerialPlane
 from .gk import GkRow, GkTable
 from .keygen import generate_gk, generate_gk_streaming
 from .observer import ObserverGroup
 from .simmeasure import Decision, PairVerdict, SimilarityMeasure
 from .theory import XmlEquationalTheory
-from .window import adaptive_window_pass
+from .window import (adaptive_window_pass, de_window_pass,
+                     segment_window_pass, window_pass)
 
 Compare = Callable[[GkRow, GkRow], PairVerdict]
 
@@ -60,9 +60,7 @@ class CandidateContext:
 
     ``compare`` is the classifier callable (possibly wrapped for
     per-pair observer events); ``decider`` is the underlying
-    :class:`PairDecider` the decision policy built.  Strategies that
-    ship comparisons to other processes pickle ``decider`` — the
-    instrumented ``compare`` closure cannot travel.
+    :class:`PairDecider` the decision policy built.
 
     ``compare_block`` is the batched classifier (``batchCompare``): one
     call per anchor block, verdicts in pair order, results bit-identical
@@ -84,16 +82,6 @@ class CandidateContext:
     decider: PairDecider | None = None
     compare_block: Callable[[list[tuple[GkRow, GkRow]]],
                             list[PairVerdict]] | None = None
-    #: The run's execution backend; ``None`` means run in-process.
-    plane: ExecutionPlane | None = None
-    #: Rows already sharing one object per distinct key/OD string —
-    #: set when the GK tables came from a DetectionIndex, letting the
-    #: shared-memory plane publish them without re-interning.
-    interned_rows: list[GkRow] | None = None
-
-    def execution_plane(self) -> ExecutionPlane:
-        """The backend to run this candidate on (serial when unset)."""
-        return self.plane if self.plane is not None else _SERIAL_PLANE
 
     def pass_started(self, key_index: int) -> None:
         if self.emit is not None:
@@ -103,16 +91,6 @@ class CandidateContext:
         if self.emit is not None:
             self.emit.pass_finished(self.spec.name, key_index, comparisons)
 
-    def pass_dispatched(self, key_index: int, shards: int) -> None:
-        if self.emit is not None:
-            self.emit.pass_dispatched(self.spec.name, key_index, shards)
-
-    def pass_merged(self, key_index: int, comparisons: int,
-                    redundant: int) -> None:
-        if self.emit is not None:
-            self.emit.pass_merged(self.spec.name, key_index, comparisons,
-                                  redundant)
-
     def pair_filtered(self, left_eid: int, right_eid: int) -> None:
         if self.emit is not None:
             self.emit.pair_filtered(self.spec.name, left_eid, right_eid)
@@ -120,10 +98,6 @@ class CandidateContext:
     def warning(self, message: str) -> None:
         if self.emit is not None:
             self.emit.warning(message)
-
-    def segment_published(self, segment: str, nbytes: int) -> None:
-        if self.emit is not None:
-            self.emit.segment_published(self.spec.name, segment, nbytes)
 
     def strategy_pairs_generated(self, strategy: str, generated: int,
                                  fresh: int) -> None:
@@ -133,17 +107,35 @@ class CandidateContext:
                 hook(self.spec.name, strategy, generated, fresh)
 
 
-#: Fallback backend for contexts built without a plane (direct strategy
-#: use in tests, incremental batches).
-_SERIAL_PLANE = SerialPlane()
-
-
 @dataclass
 class NeighborhoodOutcome:
     """What a neighborhood pass over one candidate cost."""
 
     comparisons: int
     filtered: int = 0
+
+
+def candidate_multipass(ctx: CandidateContext,
+                        duplicate_elimination: bool = False) -> int:
+    """One window (or DE) pass per selected key; returns comparisons.
+
+    Passes run in key order and share ``ctx.pairs``, so a pair confirmed
+    by an earlier pass is never compared again.
+    """
+    total = 0
+    for key_index in ctx.key_indices:
+        ctx.pass_started(key_index)
+        if duplicate_elimination:
+            comparisons = de_window_pass(
+                ctx.table, key_index, ctx.window, ctx.compare, ctx.pairs,
+                compare_block=ctx.compare_block)
+        else:
+            comparisons = window_pass(
+                ctx.table, key_index, ctx.window, ctx.compare, ctx.pairs,
+                compare_block=ctx.compare_block)
+        ctx.pass_finished(key_index, comparisons)
+        total += comparisons
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +348,10 @@ class NeighborhoodStrategy(Protocol):
 class FixedWindowStrategy:
     """The paper's sorted multi-pass window (optionally DE-SNM style).
 
-    One pass per selected key; ``duplicate_elimination`` switches each
-    pass to the DE variant where equal-key groups are confirmed against
-    an anchor and only representatives enter the window.  Execution is
-    delegated to the context's :class:`~repro.core.execution.ExecutionPlane`
-    — serial, threaded, or shared-memory — which owns dispatch, merge,
-    and the fallback ladder; pairs and clusters are identical on every
-    backend.
+    One pass per selected key (:func:`candidate_multipass`);
+    ``duplicate_elimination`` switches each pass to the DE variant where
+    equal-key groups are confirmed against an anchor and only
+    representatives enter the window.
     """
 
     traversal = BOTTOM_UP
@@ -371,9 +360,8 @@ class FixedWindowStrategy:
         self.duplicate_elimination = duplicate_elimination
 
     def find_pairs(self, ctx: CandidateContext) -> NeighborhoodOutcome:
-        outcome = ctx.execution_plane().multipass(
-            ctx, duplicate_elimination=self.duplicate_elimination)
-        return NeighborhoodOutcome(outcome.comparisons, outcome.filtered)
+        return NeighborhoodOutcome(
+            candidate_multipass(ctx, self.duplicate_elimination))
 
 
 class AdaptiveWindowStrategy:
@@ -490,10 +478,10 @@ class ParentGroupedStrategy:
                         key_index: int) -> int:
         rows = [ctx.table.row(eid) for eid in eids]
         ordered = sorted(rows, key=lambda row: (row.keys[key_index], row.eid))
-        # A group's window is exactly one start=0 segment pass; groups
-        # share ctx.pairs sequentially, so the plane runs them
-        # in-process on every backend (see ExecutionPlane.grouped_pass).
-        return ctx.execution_plane().grouped_pass(ctx, ordered)
+        # Groups share ctx.pairs sequentially: a pair confirmed in an
+        # earlier group is skipped, not compared again.
+        return segment_window_pass(ordered, ctx.window, ctx.compare,
+                                   ctx.pairs, compare_block=ctx.compare_block)
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,8 @@ def window_start(index: int, window: int) -> int:
     The one piece of window arithmetic everything shares: a sliding
     window of size ``window`` compares the anchor against the up to
     ``window - 1`` rows before it, so the block starts at
-    ``max(0, index - window + 1)``.  The overlap-shard planners reuse
-    the same expression to decide how many predecessor rows a segment
-    starting at anchor ``index`` must prepend — keeping the serial
-    window and the sharded segments provably aligned.
+    ``max(0, index - window + 1)``.  It also says how many predecessor
+    rows a segment starting at anchor ``index`` must prepend.
     """
     return max(0, index - window + 1)
 
@@ -234,10 +232,8 @@ def segment_window_pass(ordered: list[GkRow], window: int,
     ``pairs`` are skipped; confirmed eid pairs are added (smaller eid
     first).  Returns the comparison count.
 
-    This is the one sliding loop in the codebase: a full serial pass is
-    the ``start == 0`` case (:func:`window_pass` delegates here), and
-    the shard planners in :mod:`repro.core.execution` derive their
-    overlap from the same :func:`window_start` arithmetic.
+    This is the one sliding loop in the codebase: a full pass is the
+    ``start == 0`` case (:func:`window_pass` delegates here).
     """
     if window < 2:
         raise ValueError("window size must be >= 2")

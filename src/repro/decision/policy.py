@@ -32,10 +32,7 @@ pair, see :func:`repro.clustering.demote_antitransitive`) and re-bands
 them REVIEW before transitive closure.
 
 Band counters ride :class:`~repro.similarity.plan.ComparisonStats`
-(``pairs_auto_dup`` / ``pairs_review`` / ``pairs_auto_keep``) and so
-survive the parallel stats-delta protocol; queue capture and the
-consistency pass are features of the serial plane, where the decider
-that classified the pairs is the one the engine holds.
+(``pairs_auto_dup`` / ``pairs_review`` / ``pairs_auto_keep``).
 """
 
 from __future__ import annotations
@@ -183,9 +180,8 @@ class ThreeWayMeasure(SimilarityMeasure):
         sees them), re-banded REVIEW, queued with ``demoted=True``, and
         returned as ``(left_eid, right_eid, score)`` for observer
         events.  Inactive for degenerate (zero-width) bands, and when
-        any confirmed pair was classified outside this decider (parallel
-        shards, restored index state) — the pass needs every edge's
-        score.
+        any confirmed pair was classified outside this decider (restored
+        index state) — the pass needs every edge's score.
         """
         if not self._consistency_active() or not pairs:
             return []

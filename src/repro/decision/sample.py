@@ -8,9 +8,7 @@ truth (:func:`repro.eval.gold_pairs`).  :func:`calibrate_document`
 feeds those samples to :func:`repro.decision.calibrate.calibrate_three_way`
 and returns one fitted :class:`ThreeWayCalibration` per candidate.
 
-Score capture rides the engine's per-pair observer events, which only
-the serial plane emits — calibration passes therefore always run
-serially (they are small labelled samples, not production corpora).
+Score capture rides the engine's per-pair observer events.
 """
 
 from __future__ import annotations

@@ -72,41 +72,30 @@ class SnmResult:
 
 
 def _window_pass(sorted_rids: list[int], relation: Relation, window: int,
-                 matcher: Matcher, pairs: set[tuple[int, int]]) -> int:
+                 matcher: Matcher, pairs: set[tuple[int, int]],
+                 match_block=None) -> int:
     """Slide a ``window`` over ``sorted_rids``; return comparison count.
 
     Each new record entering the window is compared against the ``window
     - 1`` records before it, the standard formulation equivalent to
-    comparing all pairs within each window position.
+    comparing all pairs within each window position.  With
+    ``match_block``, each record's block of predecessors goes through
+    it in one call; block order equals the pair-at-a-time order, so
+    decisions and pair sets are bit-identical.
     """
     comparisons = 0
     for index, rid in enumerate(sorted_rids):
-        start = max(0, index - window + 1)
-        for other_index in range(start, index):
-            other = sorted_rids[other_index]
-            comparisons += 1
-            if matcher(relation[other], relation[rid]):
-                pairs.add((min(other, rid), max(other, rid)))
-    return comparisons
-
-
-def _window_pass_block(sorted_rids: list[int], relation: Relation, window: int,
-                       match_block, pairs: set[tuple[int, int]]) -> int:
-    """Batched variant of :func:`_window_pass`.
-
-    Each record's block of ``window - 1`` predecessors goes through the
-    matcher's ``match_block`` in one call; block order equals the serial
-    comparison order, so decisions and pair sets are bit-identical.
-    """
-    comparisons = 0
-    for index, rid in enumerate(sorted_rids):
-        start = max(0, index - window + 1)
-        if start >= index:
+        others = sorted_rids[max(0, index - window + 1):index]
+        if not others:
             continue
-        others = sorted_rids[start:index]
-        block = [(relation[other], relation[rid]) for other in others]
-        comparisons += len(block)
-        for other, matched in zip(others, match_block(block)):
+        if match_block is not None:
+            matches = match_block([(relation[other], relation[rid])
+                                   for other in others])
+        else:
+            matches = (matcher(relation[other], relation[rid])
+                       for other in others)
+        for other, matched in zip(others, matches):
+            comparisons += 1
             if matched:
                 pairs.add((min(other, rid), max(other, rid)))
     return comparisons
@@ -115,8 +104,7 @@ def _window_pass_block(sorted_rids: list[int], relation: Relation, window: int,
 def sorted_neighborhood(relation: Relation, keys: list[RelationalKey],
                         matcher: Matcher, window: int = 5,
                         closure: bool = True,
-                        batch: bool = False,
-                        plane=None) -> SnmResult:
+                        batch: bool = False) -> SnmResult:
     """Run (multi-pass) SNM over ``relation``.
 
     One sliding-window pass per key in ``keys``; pairs are unioned across
@@ -142,13 +130,6 @@ def sorted_neighborhood(relation: Relation, keys: list[RelationalKey],
         (batched comparison plane) instead of pair-at-a-time calls.
         Requires a matcher exposing ``match_block``; pairs and clusters
         are bit-identical either way.
-    plane:
-        An :class:`~repro.core.execution.ExecutionPlane` to run the
-        passes on.  A parallel plane shards each pass into overlapping
-        anchor ranges across its worker pool; the relational window has
-        no ``skip_known`` optimization, so even comparison counts match
-        the serial run exactly.  ``None`` runs in-process via the
-        historical kernels.
     """
     if not keys:
         raise ValueError("at least one key is required")
@@ -167,15 +148,8 @@ def sorted_neighborhood(relation: Relation, keys: list[RelationalKey],
         result.key_generation_seconds += time.perf_counter() - start
 
         start = time.perf_counter()
-        if plane is not None:
-            result.comparisons += plane.relational_pass(
-                keyed, relation, window, matcher, match_block, result.pairs)
-        elif match_block is not None:
-            result.comparisons += _window_pass_block(
-                keyed, relation, window, match_block, result.pairs)
-        else:
-            result.comparisons += _window_pass(keyed, relation, window,
-                                               matcher, result.pairs)
+        result.comparisons += _window_pass(keyed, relation, window, matcher,
+                                           result.pairs, match_block)
         result.window_seconds += time.perf_counter() - start
 
     if closure:

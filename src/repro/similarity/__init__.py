@@ -15,8 +15,7 @@ from .filters import (bag_distance, bag_filter_bound,
 from .plan import (DEFAULT_PHI_CACHE_SIZE, CompiledCondition, ComparisonPlan,
                    ComparisonStats, PhiCache, PlanField, PlanOutcome)
 from .soundex import soundex
-from .store import (PersistentPhiCache, open_shared_store, phi_fingerprint,
-                    reset_shared_stores)
+from .store import PersistentPhiCache, phi_fingerprint
 from .tokens import (dice_coefficient, jaccard, lcs_similarity,
                      longest_common_subsequence, multiset_jaccard,
                      ngram_similarity, ngrams, overlap_coefficient,
@@ -63,9 +62,7 @@ __all__ = [
     "overlap_coefficient",
     "parse_number",
     "PersistentPhiCache",
-    "open_shared_store",
     "phi_fingerprint",
-    "reset_shared_stores",
     "register_similarity",
     "reset_registry",
     "soundex",

@@ -117,17 +117,6 @@ class PairBatch:
             self._artifacts[value] = found
         return found
 
-    def seed_artifacts(
-            self, mapping: dict[str, tuple[int, dict[str, int]]]) -> None:
-        """Pre-populate the artifact memo from precomputed values.
-
-        The shared-memory execution plane publishes each candidate's
-        per-string artifacts once; workers seed them here instead of
-        recomputing length/bag per process.  Values must equal what
-        :func:`string_artifacts` would produce — they are trusted as-is.
-        """
-        self._artifacts.update(mapping)
-
     def _bound(self, f, left: str, right: str) -> float:
         """``ComparisonPlan._field_bound`` with artifact-backed filters.
 

@@ -83,31 +83,6 @@ def _add_counter(current, value):
     return current + value
 
 
-def _sub_counter(value, before):
-    """``value - before`` for int counters, recursive diff for mappings.
-
-    Zero-valued mapping entries are dropped so an unchanged strategy
-    leaves no trace in a shard's delta.
-    """
-    if isinstance(value, dict):
-        prior = before or {}
-        result = {}
-        for key, inner in value.items():
-            if isinstance(inner, dict):
-                base = prior.get(key) or {}
-                slot = {counter: count - base.get(counter, 0)
-                        for counter, count in inner.items()
-                        if count != base.get(counter, 0)}
-                if slot:
-                    result[key] = slot
-            else:
-                diff = inner - prior.get(key, 0)
-                if diff:
-                    result[key] = diff
-        return result
-    return value - (before or 0)
-
-
 @dataclass
 class ComparisonStats:
     """Counters of what a comparison plan actually paid for.
@@ -130,7 +105,6 @@ class ComparisonStats:
     phi_cache_spilled: int = 0     # exact scores newly queued for disk
     edit_full_evals: int = 0       # full runs of filterable (edit-like) φs
     edit_bounded_evals: int = 0    # floor-bounded evaluations
-    redundant_comparisons: int = 0  # pairs re-confirmed by parallel shards
     batched_pairs: int = 0         # pairs evaluated through a PairBatch
     batch_prefilter_drops: int = 0  # batch pairs dropped by column prefilters
     # Three-way decision bands (repro.decision): unique pairs this
@@ -141,15 +115,15 @@ class ComparisonStats:
     pairs_auto_keep: int = 0
     # Per-neighborhood-strategy attribution for union-of-strategies runs:
     # strategy name -> {"generated", "fresh", "compared", "duplicates"}.
-    # Mapping-valued, unlike every counter above — merge/as_dict/delta all
-    # handle nested dicts so the field survives the parallel PassResult
-    # protocol and the detection-index JSON round-trip.
+    # Mapping-valued, unlike every counter above — merge/as_dict handle
+    # nested dicts so the field survives the detection-index JSON
+    # round-trip.
     strategy_counters: dict = dataclass_field(default_factory=dict)
 
     def as_dict(self) -> dict[str, Any]:
         # Derived from the dataclass fields so a counter added later can
         # never be silently dropped by :meth:`merge` (which iterates this
-        # dict) or by the parallel workers' stats-delta protocol.
+        # dict).
         # Mapping-valued counters are deep-copied so a snapshot is immune
         # to later in-place mutation of the live stats.
         return {spec.name: _copy_counter(getattr(self, spec.name))
@@ -160,16 +134,15 @@ class ComparisonStats:
         for name, value in other.as_dict().items():
             setattr(self, name, _add_counter(getattr(self, name), value))
 
-    def delta(self, before: dict) -> "ComparisonStats":
-        """Counters accumulated since the ``as_dict`` snapshot ``before``.
-
-        The parallel shard protocol snapshots a worker-local decider's
-        stats before a pass and ships only the difference back to the
-        parent, so counters are never double-merged.
-        """
-        return ComparisonStats(**{
-            name: _sub_counter(value, before.get(name))
-            for name, value in self.as_dict().items()})
+    @classmethod
+    def from_dict(cls, counters: dict) -> "ComparisonStats":
+        """Rebuild from an :meth:`as_dict` snapshot, e.g. one persisted
+        in a detection index.  Counters this version no longer keeps
+        are ignored, so an index written before a counter was retired
+        still restores."""
+        known = {spec.name for spec in fields(cls)}
+        return cls(**{name: value for name, value in counters.items()
+                      if name in known})
 
     @property
     def phi_cache_hit_rate(self) -> float:
@@ -262,39 +235,6 @@ class PhiCache:
         self.misses = 0
         self.disk_hits = 0
         self.from_disk = False
-
-    def __reduce__(self):
-        # Pickle as an *empty* cache of the same capacity.  The cache is
-        # a pure memo — shipping its entries to worker processes would
-        # copy up to ``maxsize`` strings per task without changing any
-        # result, so cross-process copies start cold instead.  A spill
-        # travels as its directory path *plus* the parent store's
-        # segment-file index: the worker reopens the directory read-only
-        # through the per-process shared-store memo and refreshes it
-        # against that index, so a warm persistent worker whose store
-        # predates the parent's latest flush still sees every entry the
-        # parent has persisted (instead of recomputing and re-reporting
-        # them).
-        directory = self.spill.directory if self.spill is not None else None
-        segments: tuple[str, ...] = ()
-        if self.spill is not None:
-            segment_files = getattr(self.spill, "segment_files", None)
-            if segment_files is not None:
-                segments = tuple(segment_files())
-        return (_restore_phi_cache, (self.maxsize, directory, segments))
-
-
-def _restore_phi_cache(maxsize: int, spill_directory: str | None,
-                       expected: tuple[str, ...] = ()) -> PhiCache:
-    """Unpickle helper: rebuild a cold cache, reattaching the spill.
-
-    ``expected`` defaults empty for pickles produced by older versions.
-    """
-    spill = None
-    if spill_directory is not None:
-        from .store import open_shared_store
-        spill = open_shared_store(spill_directory, expected=expected)
-    return PhiCache(maxsize, spill=spill)
 
 
 # ---------------------------------------------------------------------------

@@ -32,11 +32,6 @@ Design constraints (all load-bearing):
   traits, or switching Python versions changes the fingerprint and
   retires the entries instead of silently serving scores the current
   code would not produce.
-
-Worker processes open the store read-only (one shared instance per
-process, see :func:`open_shared_store`); their newly computed entries
-travel back to the parent as plain dicts and are merged into the
-parent's pending set, which the engine flushes at the end of the run.
 """
 
 from __future__ import annotations
@@ -46,7 +41,7 @@ import json
 import math
 import os
 import tempfile
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 
 from .registry import get_similarity, get_traits
 
@@ -106,7 +101,7 @@ class PersistentPhiCache:
         The cache directory.  Created on open unless ``read_only``.
     read_only:
         Never write; :meth:`flush` and :meth:`compact` become no-ops.
-        Worker processes use this (the parent owns the files).
+        ``sxnm cache status`` uses this to inspect a directory.
     warn:
         Callback receiving one human-readable line per recoverable
         problem (corrupt segment, unwritable directory, failed flush).
@@ -118,8 +113,7 @@ class PersistentPhiCache:
         self.directory = os.fspath(directory)
         self.read_only = read_only
         self.warn = warn
-        #: Entries visible to :meth:`lookup` that are already persisted
-        #: (or were taken over from a worker's drained delta).
+        #: Entries visible to :meth:`lookup` that are already persisted.
         self._loaded: dict[tuple, float] = {}
         #: Entries recorded this run, pending the next :meth:`flush`.
         self._new: dict[tuple, float] = {}
@@ -129,9 +123,6 @@ class PersistentPhiCache:
         self.warnings: list[str] = []
         self.usable = False
         self._opened = False
-        #: Segment file names this instance has consumed (loaded, or
-        #: written itself) — the index :meth:`refresh` checks against.
-        self._seen_files: set[str] = set()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -171,44 +162,9 @@ class PersistentPhiCache:
             self._load_segment(os.path.join(self.directory, name))
         return self
 
-    def segment_files(self) -> tuple[str, ...]:
-        """Sorted names of the segment files this instance has consumed.
-
-        This is the index a :class:`~repro.similarity.plan.PhiCache`
-        ships to worker processes (via ``__reduce__``) so their shared
-        read-only stores can :meth:`refresh` against the parent's view —
-        including segments the parent flushed *after* the worker's store
-        first opened the directory.
-        """
-        return tuple(sorted(self._seen_files))
-
-    def refresh(self, expected) -> int:
-        """Load any ``expected`` segment files not yet consumed.
-
-        ``expected`` is a segment-name iterable (a parent store's
-        :meth:`segment_files`).  Files already seen — loaded, written, or
-        previously found damaged — are skipped; names that do not exist
-        (yet) on disk are ignored silently, the next refresh may find
-        them.  Returns the number of newly loaded segments.
-        """
-        loaded = 0
-        for name in expected:
-            if name in self._seen_files or not name.endswith(SEGMENT_SUFFIX):
-                continue
-            path = os.path.join(self.directory, os.path.basename(name))
-            if not os.path.isfile(path):
-                continue
-            before = self.segments_loaded
-            self._load_segment(path)
-            loaded += self.segments_loaded - before
-        return loaded
-
     def _load_segment(self, path: str) -> None:
         """Load one segment file; any problem warns once and skips it."""
         name = os.path.basename(path)
-        # Damaged segments count as seen too: re-reading them on a
-        # refresh would only repeat the warning, never recover entries.
-        self._seen_files.add(name)
         try:
             with open(path, "rb") as handle:
                 raw = handle.read()
@@ -302,26 +258,6 @@ class PersistentPhiCache:
         self._new[key] = value
         return True
 
-    def record_many(self, entries: Mapping[tuple, float]) -> int:
-        """Merge a worker's entry delta; returns how many were new."""
-        accepted = 0
-        for key, value in entries.items():
-            if self.record(key, value):
-                accepted += 1
-        return accepted
-
-    def take_new(self) -> dict[tuple, float]:
-        """Drain the pending entries (the worker → parent delta).
-
-        The drained entries stay visible to :meth:`lookup` — later tasks
-        in the same worker process keep hitting them — but will not be
-        reported (or flushed) again by this instance.
-        """
-        drained = dict(self._new)
-        self._loaded.update(self._new)
-        self._new.clear()
-        return drained
-
     # ------------------------------------------------------------------
     # Disk writes
 
@@ -369,14 +305,13 @@ class PersistentPhiCache:
             return 0
         entries = dict(self._new)
         try:
-            name = self._write_segment(entries)
+            self._write_segment(entries)
         except OSError as error:
             self._emit(f"phi cache: cannot write to {self.directory!r} "
                        f"({error}); {len(entries)} new entries stay "
                        f"in memory only")
             return 0
         self.segments_written += 1
-        self._seen_files.add(name)
         self._loaded.update(entries)
         self._new.clear()
         return len(entries)
@@ -409,46 +344,6 @@ class PersistentPhiCache:
         except OSError as error:
             self._emit(f"phi cache: compaction could not remove an old "
                        f"segment ({error}); duplicates are harmless")
-        self._seen_files = {keep}
         self._loaded = entries
         self._new.clear()
         return len(entries)
-
-
-# ---------------------------------------------------------------------------
-# Per-process read-only sharing (worker processes)
-
-
-_SHARED_STORES: dict[str, PersistentPhiCache] = {}
-
-
-def open_shared_store(directory: str,
-                      expected=None) -> PersistentPhiCache:
-    """One read-only store per directory per process.
-
-    Worker processes unpickle one :class:`~repro.similarity.plan.PhiCache`
-    per task; sharing the loaded segment data across tasks keeps the
-    per-task cost at a dictionary lookup instead of a directory scan.
-    Warnings are silent here — the parent process already reported any
-    damaged segment when it opened the same directory.
-
-    ``expected`` names segment files the sender's store had consumed
-    (see :meth:`PersistentPhiCache.segment_files`).  A memoized store
-    that predates some of them — a warm persistent worker whose store
-    opened before the parent's last flush — loads exactly the missing
-    ones, so workers never silently recompute (and re-report) entries
-    the parent already persisted.
-    """
-    key = os.path.abspath(os.fspath(directory))
-    store = _SHARED_STORES.get(key)
-    if store is None:
-        store = PersistentPhiCache(key, read_only=True).open()
-        _SHARED_STORES[key] = store
-    if expected:
-        store.refresh(expected)
-    return store
-
-
-def reset_shared_stores() -> None:
-    """Forget all shared read-only stores (tests use this)."""
-    _SHARED_STORES.clear()

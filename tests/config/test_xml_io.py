@@ -204,3 +204,33 @@ class TestRoundTrip:
         text = dump_config(config)
         reloaded = load_config(text)
         assert reloaded.candidate("disc").pass_count == 1
+
+
+class TestRetiredAttributes:
+    """Config files written for the removed pooled execution planes
+    still load, and detect exactly as if the attributes were absent."""
+
+    RETIRED = ('workers="4" executionPlane="shm" parallelMinRows="0" '
+               'workerPoolPersist="false" sharedMemoryMinBytes="0"')
+
+    def test_config_with_retired_attributes_detects_identically(self):
+        from repro.core import SxnmDetector
+        from repro.datagen import generate_dirty_movies
+        from repro.experiments import dataset1_config
+        plain_xml = dump_config(dataset1_config())
+        retired_xml = plain_xml.replace(
+            "<sxnm-config ", f"<sxnm-config {self.RETIRED} ", 1)
+        assert retired_xml != plain_xml
+        movies = generate_dirty_movies(40, seed=5, profile="effectiveness")
+        plain = SxnmDetector(load_config(plain_xml)).run(movies, window=6)
+        retired = SxnmDetector(load_config(retired_xml)).run(movies,
+                                                             window=6)
+        for name, outcome in plain.outcomes.items():
+            other = retired.outcomes[name]
+            assert other.pairs == outcome.pairs
+            assert other.comparisons == outcome.comparisons
+            assert ([list(cluster) for cluster in other.cluster_set]
+                    == [list(cluster) for cluster in outcome.cluster_set])
+        for attribute in ("workers", "executionPlane", "parallelMinRows",
+                          "workerPoolPersist", "sharedMemoryMinBytes"):
+            assert attribute not in dump_config(load_config(retired_xml))

@@ -3,16 +3,17 @@
 Faults and edges — empty OD token sets, degenerate all-identical keys
 tripping the block-size cap (warn once), unknown strategies itemized by
 config validation — plus the configuration surface (compact strings,
-XML round-trip), execution-plane composition, the streaming fallback,
+XML round-trip), composition with the φ cache and the detection index,
+the streaming fallback,
 and the CLI flag.
 """
 
 import pytest
 
-from repro.config import (StrategySpec, SxnmConfig, dump_config, load_config,
+from repro.config import (StrategySpec, dump_config, load_config,
                           parse_composite_fields, strategy_from_string,
                           validate_config)
-from repro.core import CounterObserver, EngineObserver, SxnmDetector
+from repro.core import CounterObserver, SxnmDetector
 from repro.core.blocking import (CompositeFieldBlock, ExactKeyBlock,
                                  MinHashLshStrategy, UnionStrategy,
                                  WindowMember, build_member,
@@ -171,16 +172,18 @@ class TestUnionStrategy:
 
 
 class TestPlaneComposition:
-    def test_parallel_plane_matches_serial(self, movies):
-        serial = SxnmDetector(dataset1_config(), strategies=UNION,
-                              execution_plane="serial").run(movies)
-        parallel = SxnmDetector(dataset1_config(), strategies=UNION,
-                                workers=2, execution_plane="shm").run(movies)
-        assert parallel.pairs("movie") == serial.pairs("movie")
-        assert parallel.outcomes["movie"].comparisons \
-            == serial.outcomes["movie"].comparisons
-        assert parallel.outcomes["movie"].compare_stats.strategy_counters \
-            == serial.outcomes["movie"].compare_stats.strategy_counters
+    def test_batch_compare_composes(self, movies):
+        plain = SxnmDetector(dataset1_config(), strategies=UNION).run(movies)
+        batched = SxnmDetector(dataset1_config(), strategies=UNION,
+                               batch_compare=True).run(movies)
+        outcome = plain.outcomes["movie"]
+        other = batched.outcomes["movie"]
+        assert other.pairs == outcome.pairs
+        assert other.comparisons == outcome.comparisons
+        assert (other.compare_stats.strategy_counters
+                == outcome.compare_stats.strategy_counters)
+        # The union's pair blocks really went through the batch layer.
+        assert other.compare_stats.batched_pairs == other.comparisons > 0
 
     def test_phi_cache_dir_composes(self, movies, tmp_path):
         cache = str(tmp_path / "phicache")

@@ -146,7 +146,7 @@ class TestDetectorEndToEnd:
 class TestDetectorLeavesConfigAlone:
     OVERRIDES = dict(decision_mode="three-way", decision_fpr=0.1,
                      decision_coverage=0.8, phi_cache_dir="phi",
-                     batch_compare=True, execution_plane="serial",
+                     batch_compare=True,
                      index_dir="index", stream=True, spill_dir="spill",
                      spill_max_rows=7, strategies=["window", "exact-key"])
 

@@ -28,12 +28,6 @@ from repro.experiments import dataset1_config, dataset2_config
 from repro.similarity import get_similarity
 from repro.xmlmodel import XmlDocument, serialize
 
-# CI re-runs the parallel golden suites against an explicit execution
-# backend (SXNM_TEST_PLANE=shm|threads|serial); "auto" picks the
-# default ladder.  Every backend must be bit-identical.
-TEST_PLANE = os.environ.get("SXNM_TEST_PLANE", "auto")
-
-
 def partition(cluster_set: ClusterSet) -> set[frozenset[int]]:
     """Cluster-id-free view of a partition (jaccard-invariant)."""
     return {frozenset(cluster) for cluster in cluster_set}
@@ -458,62 +452,6 @@ class TestIncrementalGolden:
             assert partition(incremental.cluster_set(name)) == clusters
 
 
-class TestParallelDetectionGolden:
-    """Sharded detection is bit-identical to serial on every configuration.
-
-    Each of the five detector configurations runs once serially and once
-    with the passes sharded across worker processes
-    (``SXNM_TEST_WORKERS``, default 2; CI re-runs this suite with an
-    explicit worker count).  Pairs and cluster partitions must match
-    exactly; comparison counts may only rise, and the rise must equal
-    the recorded ``redundant_comparisons``.
-    """
-
-    WORKERS = int(os.environ.get("SXNM_TEST_WORKERS", "2"))
-
-    @pytest.mark.parametrize("kwargs", [
-        {},
-        {"decision": "combined"},
-        {"use_filters": True},
-        {"duplicate_elimination": True},
-        {"closure_method": "quadratic"},
-    ], ids=["plain", "combined", "filters", "de", "quadratic"])
-    def test_movies(self, movies, kwargs):
-        config = dataset1_config()
-        config.parallel_min_rows = 0
-        common = dict(
-            decision=kwargs.get("decision", "gates"),
-            use_filters=kwargs.get("use_filters", False),
-            duplicate_elimination=kwargs.get("duplicate_elimination", False),
-            closure_method=kwargs.get("closure_method", "union_find"))
-        serial = SxnmDetector(config, workers=1, **common).run(movies,
-                                                               window=6)
-        parallel = SxnmDetector(config, workers=self.WORKERS,
-                                execution_plane=TEST_PLANE,
-                                **common).run(movies, window=6)
-        for name, outcome in serial.outcomes.items():
-            sharded = parallel.outcomes[name]
-            assert sharded.pairs == outcome.pairs
-            assert (partition(sharded.cluster_set)
-                    == partition(outcome.cluster_set))
-            assert sharded.comparisons >= outcome.comparisons
-            if sharded.compare_stats is not None:
-                assert (sharded.comparisons - outcome.comparisons
-                        == sharded.compare_stats.redundant_comparisons)
-
-    def test_parallel_matches_frozen_reference(self, movies):
-        """Transitively: sharded == serial wrapper == pre-refactor loop."""
-        config = dataset1_config()
-        config.parallel_min_rows = 0
-        reference = reference_sxnm(config, movies, window=6)
-        result = SxnmDetector(config, workers=self.WORKERS,
-                              execution_plane=TEST_PLANE).run(movies,
-                                                              window=6)
-        for name, (pairs, _, _, clusters) in reference.items():
-            assert result.outcomes[name].pairs == pairs
-            assert partition(result.outcomes[name].cluster_set) == clusters
-
-
 class TestStreamingDetectionGolden:
     """Out-of-core detection is bit-identical to the frozen references.
 
@@ -521,15 +459,12 @@ class TestStreamingDetectionGolden:
     in-memory reference loop and once out-of-core (``stream=True``, a
     tiny ``spill_max_rows`` so dozens of run files really form and
     merge).  Pairs, comparison counts, and cluster partitions must match
-    exactly.  Extra dimensions re-run the streamed detector from a
+    exactly.  An extra dimension re-runs the streamed detector from a
     file-backed source (``XmlFileSource`` — the document never
-    materializes) and sharded across worker processes on the configured
-    execution plane (``SXNM_TEST_PLANE`` / ``SXNM_TEST_WORKERS``);
-    ``SXNM_TEST_STREAM=1`` widens the file-source battery from the
-    plain configuration to all five.
+    materializes); ``SXNM_TEST_STREAM=1`` widens the file-source
+    battery from the plain configuration to all five.
     """
 
-    WORKERS = int(os.environ.get("SXNM_TEST_WORKERS", "2"))
     ALL_DIMENSIONS = os.environ.get("SXNM_TEST_STREAM") == "1"
 
     PARAMS = pytest.mark.parametrize("kwargs", [
@@ -582,26 +517,6 @@ class TestStreamingDetectionGolden:
             assert result.outcomes[name].pairs == pairs
             assert result.outcomes[name].comparisons == comparisons
             assert partition(result.outcomes[name].cluster_set) == clusters
-
-    @PARAMS
-    def test_movies_with_parallel_plane(self, movies, kwargs, tmp_path):
-        config = dataset1_config()
-        config.parallel_min_rows = 0
-        serial = SxnmDetector(config, stream=True,
-                              spill_dir=str(tmp_path / "spill-serial"),
-                              spill_max_rows=7,
-                              **self.common(kwargs)).run(movies, window=6)
-        sharded = SxnmDetector(config, stream=True, workers=self.WORKERS,
-                               execution_plane=TEST_PLANE,
-                               spill_dir=str(tmp_path / "spill-sharded"),
-                               spill_max_rows=7,
-                               **self.common(kwargs)).run(movies, window=6)
-        for name, outcome in serial.outcomes.items():
-            other = sharded.outcomes[name]
-            assert other.pairs == outcome.pairs
-            assert (partition(other.cluster_set)
-                    == partition(outcome.cluster_set))
-            assert other.comparisons >= outcome.comparisons
 
     def test_discs_with_key_selection(self, discs, tmp_path):
         config = dataset2_config()
@@ -680,13 +595,10 @@ class TestBatchCompareGolden:
     Each of the five detector configurations runs with
     ``batch_compare=True`` against the pre-refactor reference loop —
     so the batch layer is pinned not merely to the pair-at-a-time
-    wrapper but transitively to the historical detectors.  Two extra
-    dimensions re-run the batched detector sharded across worker
-    processes (``SXNM_TEST_WORKERS``) and against a warm persistent φ
-    cache, the two seams a batch must compose with.
+    wrapper but transitively to the historical detectors.  An extra
+    dimension re-runs the batched detector against a warm persistent φ
+    cache, a seam a batch must compose with.
     """
-
-    WORKERS = int(os.environ.get("SXNM_TEST_WORKERS", "2"))
 
     PARAMS = pytest.mark.parametrize("kwargs", [
         {},
@@ -718,26 +630,6 @@ class TestBatchCompareGolden:
             assert partition(outcome.cluster_set) == clusters
             # The batch layer really carried the comparisons.
             assert outcome.compare_stats.batched_pairs == comparisons > 0
-
-    @PARAMS
-    def test_movies_with_parallel_workers(self, movies, kwargs):
-        config = dataset1_config()
-        config.parallel_min_rows = 0
-        serial = SxnmDetector(config, workers=1, batch_compare=True,
-                              **self.common(kwargs)).run(movies, window=6)
-        sharded = SxnmDetector(config, workers=self.WORKERS,
-                               batch_compare=True,
-                               execution_plane=TEST_PLANE,
-                               **self.common(kwargs)).run(movies, window=6)
-        for name, outcome in serial.outcomes.items():
-            other = sharded.outcomes[name]
-            assert other.pairs == outcome.pairs
-            assert (partition(other.cluster_set)
-                    == partition(outcome.cluster_set))
-            assert other.comparisons >= outcome.comparisons
-            assert (other.comparisons - outcome.comparisons
-                    == other.compare_stats.redundant_comparisons)
-            assert other.compare_stats.batched_pairs == other.comparisons
 
     @PARAMS
     def test_movies_with_warm_phi_cache(self, movies, kwargs, tmp_path):
@@ -777,12 +669,9 @@ class TestStrategyGolden:
     to its total comparisons.  A union whose only member is the window
     must stay bit-identical to the plain detector — pairs, comparison
     counts, filtered counts, and partitions.  ``SXNM_TEST_STRATEGY=1``
-    widens both batteries from the plain configuration to all five;
-    the sharded dimension honors ``SXNM_TEST_PLANE`` /
-    ``SXNM_TEST_WORKERS``.
+    widens both batteries from the plain configuration to all five.
     """
 
-    WORKERS = int(os.environ.get("SXNM_TEST_WORKERS", "2"))
     ALL_DIMENSIONS = os.environ.get("SXNM_TEST_STRATEGY") == "1"
 
     STRATEGIES = ["window", "exact-key", "composite",
@@ -847,29 +736,6 @@ class TestStrategyGolden:
             assert outcome.filtered_comparisons == filtered
             assert partition(outcome.cluster_set) == clusters
 
-    @PARAMS
-    def test_union_with_parallel_plane(self, movies, kwargs):
-        self._skip_unless_all(kwargs)
-        config = dataset1_config()
-        config.parallel_min_rows = 0
-        serial = SxnmDetector(config, strategies=self.STRATEGIES,
-                              execution_plane="serial",
-                              **self.common(kwargs)).run(movies, window=6)
-        sharded = SxnmDetector(config, strategies=self.STRATEGIES,
-                               workers=self.WORKERS,
-                               execution_plane=TEST_PLANE,
-                               **self.common(kwargs)).run(movies, window=6)
-        for name, outcome in serial.outcomes.items():
-            other = sharded.outcomes[name]
-            assert other.pairs == outcome.pairs
-            # Pair shards are disjoint, so unlike sharded window passes
-            # the comparison counts (and attributions) match exactly.
-            assert other.comparisons == outcome.comparisons
-            assert (other.compare_stats.strategy_counters
-                    == outcome.compare_stats.strategy_counters)
-            assert (partition(other.cluster_set)
-                    == partition(outcome.cluster_set))
-
 
 class TestDecisionGolden:
     """Degenerate three-way decisions are bit-identical to the plain policy.
@@ -879,14 +745,12 @@ class TestDecisionGolden:
     the banding layer then must be pure bookkeeping: pairs, comparison
     counts, filtered counts, and cluster partitions bit-identical to the
     frozen pre-refactor references, with every confirmed pair accounted
-    AUTO_DUP and nothing in REVIEW.  Extra dimensions re-run the
-    degenerate policy sharded across worker processes on the configured
-    execution plane and out-of-core (``stream=True``).
-    ``SXNM_TEST_DECISION=1`` widens all three batteries from the plain
+    AUTO_DUP and nothing in REVIEW.  An extra dimension re-runs the
+    degenerate policy out-of-core (``stream=True``).
+    ``SXNM_TEST_DECISION=1`` widens both batteries from the plain
     configuration to all five.
     """
 
-    WORKERS = int(os.environ.get("SXNM_TEST_WORKERS", "2"))
     ALL_DIMENSIONS = os.environ.get("SXNM_TEST_DECISION") == "1"
 
     PARAMS = pytest.mark.parametrize("kwargs", [
@@ -926,25 +790,6 @@ class TestDecisionGolden:
             stats = outcome.compare_stats
             assert stats.pairs_auto_dup == len(pairs)
             assert stats.pairs_review == 0
-
-    @PARAMS
-    def test_movies_with_parallel_plane(self, movies, kwargs):
-        self._skip_unless_all(kwargs)
-        config = dataset1_config()
-        config.parallel_min_rows = 0
-        threshold = SxnmDetector(config, workers=self.WORKERS,
-                                 execution_plane=TEST_PLANE,
-                                 **self.common(kwargs)).run(movies, window=6)
-        three_way = SxnmDetector(config, decision_mode="three-way",
-                                 workers=self.WORKERS,
-                                 execution_plane=TEST_PLANE,
-                                 **self.common(kwargs)).run(movies, window=6)
-        for name, outcome in threshold.outcomes.items():
-            other = three_way.outcomes[name]
-            assert other.pairs == outcome.pairs
-            assert other.comparisons == outcome.comparisons
-            assert (partition(other.cluster_set)
-                    == partition(outcome.cluster_set))
 
     @PARAMS
     def test_movies_streaming(self, movies, kwargs, tmp_path):

@@ -47,9 +47,7 @@ class TestFingerprints:
     def test_perf_knobs_excluded(self):
         base = dataset1_config()
         tuned = dataset1_config()
-        tuned.workers = 8
         tuned.batch_compare = True
-        tuned.execution_plane = "shm"
         tuned.phi_cache_dir = "/tmp/phi"
         tuned.index_dir = "/tmp/idx"
         assert config_fingerprint(tuned) == config_fingerprint(base)
@@ -100,19 +98,6 @@ class TestGkRoundTrip:
         rows = list(reopened.load_gk()["movie"])
         assert rows[0].keys[0] is rows[1].keys[0]
         assert rows[0].ods[0] is rows[1].ods[0]
-        interned = reopened.interned_rows("movie")
-        assert interned is not None
-        assert interned[0] is rows[0]
-
-    def test_interned_rows_only_after_disk_load(self, tmp_path):
-        index = open_index(tmp_path)
-        index.save_gk(make_tables())
-        # save_gk resets the decoded cache: rows built in this process
-        # were never pooled, so they are not advertised as interned.
-        assert index.interned_rows("movie") is None
-        index.load_gk()
-        assert index.interned_rows("movie") is not None
-        assert index.interned_rows("no-such-candidate") is None
 
 
 class TestRunState:

@@ -246,33 +246,21 @@ class TestWindowStartHelper:
             segment_window_pass([], 1, always_duplicate, set())
 
     def test_window_larger_than_rows(self):
-        # A window exceeding the row count degenerates to all-pairs —
-        # both in one serial pass and in the union of overlap shards.
-        from repro.core.execution import (build_pass_tasks,
-                                          merge_pass_results, run_pass_task)
-        import pickle
+        # A window exceeding the row count degenerates to all-pairs.
         table = table_with([["A"], ["B"], ["C"]])
-        serial_pairs: set = set()
-        serial = window_pass(table, 0, 10, always_duplicate, serial_pairs)
-        assert serial == 3  # C(3, 2)
-        tasks = build_pass_tasks(table, 10, [0], False, 2,
-                                 pickle.dumps(always_duplicate),
-                                 segments_per_pass=3)
-        outcome = merge_pass_results([run_pass_task(t) for t in tasks])
-        assert outcome.pairs == serial_pairs
-        assert outcome.comparisons == serial
+        pairs: set = set()
+        assert window_pass(table, 0, 10, always_duplicate, pairs) == 3
+        assert len(pairs) == 3  # C(3, 2)
 
     def test_empty_key_selection(self):
-        from repro.core.execution import build_pass_tasks
         table = table_with([["A"], ["B"]])
         pairs, comparisons = multipass(table, 3, always_duplicate,
                                        key_indices=[])
         assert pairs == set() and comparisons == 0
-        assert build_pass_tasks(table, 3, [], False, 2, b"") == []
 
     def test_segment_overlap_never_anchors(self):
-        # Overlap rows only serve as predecessors: a shard whose anchors
-        # start past the end contributes nothing.
+        # Overlap rows only serve as predecessors: a segment whose
+        # anchors start past the end contributes nothing.
         from repro.core.window import segment_window_pass
         ordered = table_with([["A"], ["B"], ["C"]]).sorted_by_key(0)
         pairs: set = set()

@@ -7,11 +7,9 @@ stats counter is bit-identical to mapping the pair-at-a-time path over
 the same pairs in the same order.  This battery holds the promise at
 every level the batch threads through — the raw plan, the edit kernel
 on window-shaped traffic, the similarity measure, full detector runs
-(serial, sharded across worker processes, and against a warm
-persistent φ cache), and the relational matchers.
+(cold and against a warm persistent φ cache), and the relational
+matchers.
 """
-
-import os
 
 import pytest
 
@@ -29,9 +27,6 @@ from tests.similarity.oracle import dp_levenshtein
 
 #: The only counters allowed to differ between the two paths.
 BATCH_ONLY = {"batched_pairs", "batch_prefilter_drops"}
-
-WORKERS = int(os.environ.get("SXNM_TEST_WORKERS", "2"))
-
 
 def stats_modulo_batch(stats: ComparisonStats) -> dict[str, int]:
     return {name: value for name, value in stats.as_dict().items()
@@ -199,23 +194,6 @@ class TestDetectionDifferential:
             assert outcome.compare_stats.batched_pairs == 0
             # Every window comparison went through the batch layer.
             assert other.compare_stats.batched_pairs == other.comparisons > 0
-
-    def test_parallel_batched_equals_serial_unbatched(self, movies):
-        """Batch × workers compose: pairs/partitions stay identical."""
-        serial = run_detector(movies, batch=False)
-        sharded = run_detector(movies, batch=True,
-                               extra={"parallel_min_rows": 0},
-                               workers=WORKERS)
-        for name, outcome in serial.outcomes.items():
-            other = sharded.outcomes[name]
-            assert other.pairs == outcome.pairs
-            assert partition(other.cluster_set) == partition(
-                outcome.cluster_set)
-            assert other.comparisons >= outcome.comparisons
-            assert (other.comparisons - outcome.comparisons
-                    == other.compare_stats.redundant_comparisons)
-            # Worker deltas carry the batch counters back to the parent.
-            assert other.compare_stats.batched_pairs == other.comparisons
 
     def test_warm_persistent_cache_batched_equals_cacheless(self, movies,
                                                             tmp_path):

@@ -1,13 +1,11 @@
-"""The persistent φ cache store: segments, flushes, dedup, sharing."""
+"""The persistent φ cache store: segments, flushes, dedup, read-only use."""
 
 import math
 import os
-import pickle
 
 from repro.similarity import PhiCache
 from repro.similarity.store import (PersistentPhiCache, SEGMENT_SUFFIX,
-                                    open_shared_store, phi_fingerprint,
-                                    reset_shared_stores)
+                                    phi_fingerprint)
 
 
 def segment_files(directory):
@@ -90,18 +88,8 @@ class TestRecordSemantics:
         store.flush()
         reloaded = PersistentPhiCache(str(tmp_path)).open()
         assert not reloaded.record(("edit", "a", "b"), 0.5)
-        assert reloaded.record_many({("edit", "a", "b"): 0.5,
-                                     ("edit", "c", "d"): 0.25}) == 1
-
-    def test_take_new_drains_but_stays_visible(self, tmp_path):
-        store = PersistentPhiCache(str(tmp_path)).open()
-        store.record(("edit", "a", "b"), 0.5)
-        drained = store.take_new()
-        assert drained == {("edit", "a", "b"): 0.5}
-        assert store.pending == 0
-        assert store.lookup(("edit", "a", "b")) == 0.5
-        assert store.take_new() == {}  # not reported twice
-        assert store.flush() == 0      # and not flushed either
+        assert reloaded.record(("edit", "c", "d"), 0.25)
+        assert reloaded.pending == 1
 
     def test_unicode_keys_round_trip(self, tmp_path):
         keys = [("edit", "café", "cafe"), ("edit", "Ω≠", "ω"),
@@ -178,17 +166,6 @@ class TestReadOnly:
         assert not reader.warnings
         assert not (tmp_path / "nowhere").exists()
 
-    def test_shared_store_memo(self, tmp_path):
-        reset_shared_stores()
-        try:
-            one = open_shared_store(str(tmp_path))
-            two = open_shared_store(str(tmp_path))
-            assert one is two
-            assert one.read_only
-        finally:
-            reset_shared_stores()
-
-
 class TestFingerprint:
     def test_stable_within_process(self):
         assert phi_fingerprint("edit") == phi_fingerprint("edit")
@@ -229,17 +206,3 @@ class TestPhiCacheSpillIntegration:
         assert len(cache) == 2        # LRU evicted three
         assert len(spill) == 5        # the spill kept them all
         assert cache.get(("edit", "left0", "right")) == 0.5  # via disk path
-
-    def test_pickle_reattaches_shared_spill(self, tmp_path):
-        reset_shared_stores()
-        try:
-            spill = PersistentPhiCache(str(tmp_path)).open()
-            spill.record(("edit", "a", "b"), 0.5)
-            spill.flush()
-            cache = PhiCache(8, spill=spill)
-            clone = pickle.loads(pickle.dumps(cache))
-            assert clone.spill is not None
-            assert clone.spill.read_only
-            assert clone.get(("edit", "a", "b")) == 0.5
-        finally:
-            reset_shared_stores()

@@ -72,29 +72,3 @@ def test_nonfinite_values_never_enter_the_store(tmp_path_factory, left,
         assert not store.record(("edit", left, right), bad)
     assert store.pending == 0
     assert store.flush() == 0
-
-
-@settings(max_examples=budget(100), deadline=None)
-@given(keys=st.lists(st.tuples(st.sampled_from(PHI_NAMES),
-                               adversarial_text, adversarial_text),
-                     min_size=1, max_size=8, unique=True))
-def test_take_new_round_trips_through_record_many(tmp_path_factory, keys):
-    # The worker → parent delta channel must preserve every entry
-    # exactly: drain on one store, merge into another, flush, reload.
-    worker_dir = tmp_path_factory.mktemp("worker")
-    parent_dir = tmp_path_factory.mktemp("parent")
-    worker = PersistentPhiCache(str(worker_dir), read_only=True).open()
-    expected = {}
-    for index, key in enumerate(keys):
-        value = float(index) / 7.0
-        worker.record(key, value)
-        expected[key] = value
-    delta = worker.take_new()
-    assert delta == expected
-
-    parent = PersistentPhiCache(str(parent_dir)).open()
-    assert parent.record_many(delta) == len(expected)
-    parent.flush()
-    reloaded = PersistentPhiCache(str(parent_dir)).open()
-    for key, value in expected.items():
-        assert reloaded.lookup(key) == value

@@ -11,6 +11,7 @@ from repro.relational import (FieldRule, Relation, RelationalKey,
                               WeightedFieldMatcher, all_pairs,
                               sorted_neighborhood)
 from repro.xmlmodel import XmlDocument, XmlElement
+from tests.conftest import budget
 
 title_strategy = st.text(alphabet=string.ascii_letters + " ", min_size=1,
                          max_size=16)
@@ -39,7 +40,7 @@ def config(threshold=0.7):
 
 class TestDetectionInvariants:
     @given(titles=titles_strategy, window=window_strategy)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=budget(60), deadline=None)
     def test_window_pairs_subset_of_all_pairs(self, titles, window):
         document = build_document(titles)
         detector = SxnmDetector(config())
@@ -48,7 +49,7 @@ class TestDetectionInvariants:
         assert windowed.pairs("item") <= exhaustive.pairs("item")
 
     @given(titles=titles_strategy, small=window_strategy)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=budget(60), deadline=None)
     def test_multipass_superset_of_single_pass(self, titles, small):
         document = build_document(titles)
         detector = SxnmDetector(config())
@@ -59,7 +60,7 @@ class TestDetectionInvariants:
             assert single.pairs("item") <= multi.pairs("item")
 
     @given(titles=titles_strategy, window=window_strategy)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=budget(60), deadline=None)
     def test_cluster_sets_partition_instances(self, titles, window):
         document = build_document(titles)
         result = SxnmDetector(config()).run(document, window=window)
@@ -69,7 +70,7 @@ class TestDetectionInvariants:
         assert members == table_eids
 
     @given(titles=titles_strategy, window=window_strategy)
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=budget(40), deadline=None)
     def test_filters_never_change_pairs(self, titles, window):
         document = build_document(titles)
         plain = SxnmDetector(config()).run(document, window=window)
@@ -79,7 +80,7 @@ class TestDetectionInvariants:
 
     @given(titles=titles_strategy, window=window_strategy,
            low=st.floats(0.3, 0.6), delta=st.floats(0.05, 0.3))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=budget(40), deadline=None)
     def test_threshold_monotonicity(self, titles, window, low, delta):
         """Raising the OD threshold can only remove detected pairs."""
         document = build_document(titles)
@@ -91,7 +92,7 @@ class TestDetectionInvariants:
 
 class TestRelationalInvariants:
     @given(titles=titles_strategy, window=window_strategy)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=budget(60), deadline=None)
     def test_snm_subset_of_all_pairs(self, titles, window):
         relation = Relation(["t"])
         relation.extend([{"t": title} for title in titles])

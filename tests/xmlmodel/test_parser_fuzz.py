@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.errors import XmlParseError
 from repro.xmlmodel import parse, serialize
+from tests.conftest import budget
 
 junk = st.text(max_size=200)
 xmlish_alphabet = st.sampled_from(list("<>/=\"'&; abcdfx?!-[]"))
@@ -28,17 +29,17 @@ def _try_parse(data: str):
 
 class TestParserRobustness:
     @given(data=junk)
-    @settings(max_examples=300)
+    @settings(max_examples=budget(300))
     def test_random_text_never_crashes(self, data):
         _try_parse(data)
 
     @given(data=xmlish)
-    @settings(max_examples=500)
+    @settings(max_examples=budget(500))
     def test_xmlish_text_never_crashes(self, data):
         _try_parse(data)
 
     @given(data=xmlish)
-    @settings(max_examples=300)
+    @settings(max_examples=budget(300))
     def test_accepted_input_round_trips(self, data):
         document = _try_parse(data)
         if document is None:
@@ -48,12 +49,12 @@ class TestParserRobustness:
 
     @given(prefix=st.text(alphabet=string.ascii_letters, max_size=10),
            data=xmlish)
-    @settings(max_examples=200)
+    @settings(max_examples=budget(200))
     def test_wrapped_content_parses_or_raises_cleanly(self, prefix, data):
         _try_parse(f"<{prefix or 'a'}>{data}</{prefix or 'a'}>")
 
     @given(depth=st.integers(1, 400))
-    @settings(max_examples=20)
+    @settings(max_examples=budget(20))
     def test_deep_nesting(self, depth):
         data = "<a>" * depth + "x" + "</a>" * depth
         document = parse(data)
@@ -61,7 +62,7 @@ class TestParserRobustness:
         assert count == depth
 
     @given(count=st.integers(1, 300))
-    @settings(max_examples=20)
+    @settings(max_examples=budget(20))
     def test_wide_documents(self, count):
         data = "<r>" + "<c/>" * count + "</r>"
         document = parse(data)
