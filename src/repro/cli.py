@@ -82,11 +82,8 @@ class ProgressObserver(EngineObserver):
                    f"TC {outcome.closure_seconds:.3f}s)")
 
     def comparison_stats(self, candidate, stats):
-        batched = (f"{stats.batched_pairs} batched, "
-                   if stats.batched_pairs else "")
         self._line(
             f"candidate {candidate}: comparison plane: "
-            f"{batched}"
             f"{stats.pairs_prefiltered} prefiltered, "
             f"{stats.pairs_pruned} pruned mid-pair, "
             f"{stats.edit_full_evals} full edit DPs, "
@@ -147,9 +144,7 @@ class TraceObserver(EngineObserver):
               f"cache-disk-hits={stats.phi_cache_disk_hits} "
               f"cache-spilled={stats.phi_cache_spilled} "
               f"edit-full={stats.edit_full_evals} "
-              f"edit-banded={stats.edit_bounded_evals} "
-              f"batched={stats.batched_pairs} "
-              f"batch-drops={stats.batch_prefilter_drops}",
+              f"edit-banded={stats.edit_bounded_evals}",
               file=self.stream, flush=True)
         for name, counters in sorted(stats.strategy_counters.items()):
             print(f"# {candidate} strategy {name}: "
@@ -197,7 +192,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     if getattr(args, "trace", False):
         observers.append(TraceObserver())
     use_filters = True if getattr(args, "filters", False) else None
-    batch_compare = True if getattr(args, "batch", False) else None
     decision = getattr(args, "decision", None) or "gates"
     review_out = getattr(args, "review_out", None)
     if review_out and decision != "three-way":
@@ -230,7 +224,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
                       "as a degenerate zero-width band", file=sys.stderr)
     result = SxnmDetector(config, use_filters=use_filters,
                           phi_cache_dir=getattr(args, "phi_cache_dir", None),
-                          batch_compare=batch_compare,
                           index_dir=getattr(args, "index", None),
                           stream=(True if stream else None),
                           spill_dir=getattr(args, "spill_dir", None),
@@ -528,13 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(identical results; repeated detections skip "
                              "recomputing edit distances); default: the "
                              "configuration's 'phiCacheDir' attribute")
-    detect.add_argument("--batch", action="store_true",
-                        help="classify each window block of pairs in one "
-                             "batched call over the comparison plane "
-                             "(shared per-string artifacts, column-wise "
-                             "prefilters); identical pairs "
-                             "and clusters; default: the configuration's "
-                             "'batchCompare' attribute")
     detect.add_argument("--index", default=None, metavar="DIR",
                         help="persist run state (GK tables, per-candidate "
                              "pairs and stats) to a detection index in DIR; "

@@ -311,9 +311,6 @@ class SxnmConfig:
     directory where exact φ scores persist *across* runs (``None`` keeps
     the memo in-memory only) and ``phi_cache_persist`` gates it without
     forgetting the path.
-    ``batch_compare`` classifies each window block of pairs in one
-    batched call over the comparison plane (per-string artifacts,
-    column-wise prefilters) instead of pair by pair.
     ``index_dir`` names a :class:`~repro.core.index.DetectionIndex`
     directory where per-run detection state persists so interrupted
     runs and incremental sessions resume from disk (``None`` keeps run
@@ -342,7 +339,6 @@ class SxnmConfig:
     phi_cache_size: int = DEFAULT_PHI_CACHE_SIZE
     phi_cache_dir: str | None = None
     phi_cache_persist: bool = True
-    batch_compare: bool = False
     index_dir: str | None = None
     index_persist: bool = DEFAULT_INDEX_PERSIST
     stream_parse: bool = False

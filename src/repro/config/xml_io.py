@@ -158,8 +158,6 @@ def config_from_document(document: XmlDocument) -> SxnmConfig:
         config.phi_cache_dir = phi_cache_dir
     config.phi_cache_persist = _get_bool(root, "phiCachePersist",
                                          config.phi_cache_persist)
-    config.batch_compare = _get_bool(root, "batchCompare",
-                                     config.batch_compare)
     index_dir = root.get("indexDir")
     if index_dir is not None:
         config.index_dir = index_dir
@@ -254,7 +252,6 @@ def config_to_document(config: SxnmConfig) -> XmlDocument:
         "duplicateThreshold": repr(config.duplicate_threshold),
         "useFilters": "true" if config.use_filters else "false",
         "phiCacheSize": str(config.phi_cache_size),
-        "batchCompare": "true" if config.batch_compare else "false",
     })
     if config.phi_cache_dir is not None:
         root.set("phiCacheDir", config.phi_cache_dir)

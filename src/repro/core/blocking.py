@@ -57,7 +57,7 @@ from ..similarity.tokens import tokenize
 from .gk import GkRow, GkTable
 from .stages import (BOTTOM_UP, CandidateContext, FixedWindowStrategy,
                      NeighborhoodOutcome)
-from .window import window_start
+from .window import compare_pairs, de_window_pairs, window_pairs
 
 #: The prime modulus of the MinHash permutation family (2^61 - 1); the
 #: universal-hash coefficients are drawn below it from the config seed.
@@ -286,52 +286,18 @@ class WindowMember:
         self.duplicate_elimination = duplicate_elimination
         self.native = FixedWindowStrategy(duplicate_elimination)
 
-    @staticmethod
-    def _window_pairs(ordered, window: int,
-                      pairs: set[tuple[int, int]]) -> None:
-        for index, row in enumerate(ordered):
-            for other_index in range(window_start(index, window), index):
-                other = ordered[other_index]
-                pairs.add((min(other.eid, row.eid),
-                           max(other.eid, row.eid)))
-
     def generate(self, ctx: CandidateContext) -> GeneratedPairs:
         generated = GeneratedPairs()
         for key_index in ctx.key_indices:
             ordered = ctx.table.sorted_by_key(key_index)
             if self.duplicate_elimination:
-                # Mirror de_window_pass: group equal non-empty keys,
-                # anchor-compare members, window only representatives.
-                groups: dict[str, list[GkRow]] = {}
-                representatives: list[GkRow] = []
-                for row in ordered:
-                    key_value = row.keys[key_index]
-                    if not key_value:
-                        representatives.append(row)
-                        continue
-                    group = groups.get(key_value)
-                    if group is None:
-                        groups[key_value] = [row]
-                        representatives.append(row)
-                    else:
-                        group.append(row)
-                for group in groups.values():
-                    anchor = group[0]
-                    for row in group[1:]:
-                        generated.pairs.add(
-                            (min(anchor.eid, row.eid),
-                             max(anchor.eid, row.eid)))
-                self._window_pairs(representatives, ctx.window,
-                                   generated.pairs)
+                candidates = de_window_pairs(ordered, key_index, ctx.window)
             else:
-                self._window_pairs(ordered, ctx.window, generated.pairs)
+                candidates = window_pairs(ordered, ctx.window)
+            for left, right in candidates:
+                generated.pairs.add((min(left.eid, right.eid),
+                                     max(left.eid, right.eid)))
         return generated
-
-
-#: Pairs per compare_block call in :func:`pairs_pass` — bounds the
-#: per-call row materialization without starving the batch layer's
-#: column-wise prefilters.
-PAIR_BLOCK_ROWS = 512
 
 
 def pairs_pass(ctx: CandidateContext,
@@ -342,23 +308,9 @@ def pairs_pass(ctx: CandidateContext,
     already deduplicated by the caller; each is compared exactly once,
     in list order, and confirmed duplicates land in ``ctx.pairs``.
     """
-    comparisons = 0
     row = ctx.table.row
-    if ctx.compare_block is not None:
-        for low in range(0, len(pair_list), PAIR_BLOCK_ROWS):
-            chunk = pair_list[low:low + PAIR_BLOCK_ROWS]
-            block = [(row(left), row(right)) for left, right in chunk]
-            comparisons += len(block)
-            for pair, verdict in zip(chunk, ctx.compare_block(block)):
-                if verdict.is_duplicate:
-                    ctx.pairs.add(pair)
-        return comparisons
-    compare = ctx.compare
-    for left, right in pair_list:
-        comparisons += 1
-        if compare(row(left), row(right)).is_duplicate:
-            ctx.pairs.add((left, right))
-    return comparisons
+    return compare_pairs(((row(left), row(right)) for left, right in pair_list),
+                         ctx.compare, ctx.pairs, skip_known=False)
 
 
 class UnionStrategy:

@@ -105,14 +105,6 @@ class SxnmDetector:
         are bit-identical with or without it.  ``None`` (default) defers
         to ``config.phi_cache_dir``; damaged or unwritable directories
         warn via observers and run cold.
-    batch_compare:
-        Classify each window block of candidate pairs in one batched
-        call over the comparison plane (``repro.similarity.batch``):
-        per-string artifacts are computed once per distinct string,
-        and the length/bag prefilters run column-wise over the block.
-        Pairs, clusters, and every non-batch stats counter are
-        bit-identical to the pair-at-a-time path.  ``None`` (default) defers to
-        ``config.batch_compare``.
     index_dir:
         Directory for the persistent detection index
         (``repro.core.index``): every completed candidate's state is
@@ -163,7 +155,6 @@ class SxnmDetector:
                  theories: dict[str, XmlEquationalTheory] | None = None,
                  duplicate_elimination: bool = False,
                  phi_cache_dir: str | None = None,
-                 batch_compare: bool | None = None,
                  index_dir: str | None = None,
                  stream: bool | None = None,
                  spill_dir: str | None = None,
@@ -187,7 +178,6 @@ class SxnmDetector:
             "decision_fpr": decision_fpr,
             "decision_coverage": decision_coverage,
             "phi_cache_dir": phi_cache_dir,
-            "batch_compare": batch_compare,
             "index_dir": index_dir,
             "stream_parse": stream,
             "spill_dir": spill_dir,
@@ -213,7 +203,6 @@ class SxnmDetector:
         self.theories = dict(theories or {})
         self.duplicate_elimination = duplicate_elimination
         self.phi_cache_dir = config.phi_cache_dir
-        self.batch_compare = config.batch_compare
         self.index_dir = config.index_dir
         self.stream = config.stream_parse
         self.strategies = list(config.neighborhood_strategies)

@@ -266,15 +266,9 @@ class DetectionEngine:
                     emit.decision_calibrated(spec.name, calibration)
             filtered_before = decider.filtered_comparisons
             compare: Compare = decider.compare
-            compare_block = None
-            if getattr(self.config, "batch_compare", False):
-                compare_block = getattr(decider, "compare_block", None)
             if emit is not None:
                 compare = self._instrumented(spec.name, decider.compare,
                                              emit)
-                if compare_block is not None:
-                    compare_block = self._instrumented_block(
-                        spec.name, compare_block, emit)
 
             key_indices = select_key_indices(
                 table, key_selection,
@@ -286,8 +280,7 @@ class DetectionEngine:
                 node=node, spec=spec, config=self.config, table=table,
                 tables=tables, window=effective_window,
                 key_indices=key_indices, compare=compare, pairs=pairs,
-                cluster_sets=cluster_sets, emit=emit, decider=decider,
-                compare_block=compare_block)
+                cluster_sets=cluster_sets, emit=emit, decider=decider)
 
             if emit is not None:
                 emit.phase_started(PHASE_WINDOW, spec.name)
@@ -429,22 +422,4 @@ class DetectionEngine:
             if verdict.is_duplicate:
                 emit.pair_confirmed(candidate, left.eid, right.eid)
             return verdict
-        return observed
-
-    @staticmethod
-    def _instrumented_block(candidate: str, compare_block,
-                            emit: ObserverGroup):
-        """Wrap a batched classifier to stream the same per-pair events.
-
-        Verdicts come back in block order, which is the order the
-        pair-at-a-time path compares in — observers see an identical
-        event stream.
-        """
-        def observed(block):
-            verdicts = compare_block(block)
-            for (left, right), verdict in zip(block, verdicts):
-                emit.pair_compared(candidate, left.eid, right.eid, verdict)
-                if verdict.is_duplicate:
-                    emit.pair_confirmed(candidate, left.eid, right.eid)
-            return verdicts
         return observed

@@ -23,6 +23,7 @@ descendant clusters that would now push the pair over the threshold.
 from __future__ import annotations
 
 import bisect
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from ..clustering import UnionFind
@@ -38,6 +39,7 @@ from .results import SxnmResult  # noqa: F401  (re-exported concept)
 from .simmeasure import Decision
 from .stages import (BOTTOM_UP, CandidateContext, LiveClosure,
                      NeighborhoodOutcome, ThresholdPolicy)
+from .window import compare_pairs, touched_window_pairs
 
 
 @dataclass
@@ -101,6 +103,14 @@ class AccumulatingKeySource:
         return {name: state.table for name, state in self.states.items()}
 
 
+def _touched_rows(order: list[tuple[str, int]], window: int,
+                 touched: set[int], table: GkTable,
+                 ) -> Iterator[tuple[GkRow, GkRow]]:
+    row = table.row
+    for left, right in touched_window_pairs(order, window, touched):
+        yield row(left), row(right)
+
+
 class IncrementalNeighborhood:
     """Window only the neighborhoods touched by the current batch.
 
@@ -120,24 +130,12 @@ class IncrementalNeighborhood:
         batch_comparisons = 0
         for key_index, order in enumerate(state.sorted_keys):
             ctx.pass_started(key_index)
-            pass_comparisons = 0
             for row in state.new_rows:
                 entry = (row.keys[key_index], row.eid)
                 order.insert(bisect.bisect_left(order, entry), entry)
-            for index, (_, eid) in enumerate(order):
-                start = max(0, index - ctx.window + 1)
-                for other_index in range(start, index):
-                    other_eid = order[other_index][1]
-                    if eid not in new_eids and other_eid not in new_eids:
-                        continue
-                    pair = (min(other_eid, eid), max(other_eid, eid))
-                    if pair in state.pairs:
-                        continue
-                    pass_comparisons += 1
-                    verdict = ctx.compare(state.table.row(pair[0]),
-                                          state.table.row(pair[1]))
-                    if verdict.is_duplicate:
-                        state.pairs.add(pair)
+            pass_comparisons = compare_pairs(
+                _touched_rows(order, ctx.window, new_eids, state.table),
+                ctx.compare, state.pairs)
             ctx.pass_finished(key_index, pass_comparisons)
             batch_comparisons += pass_comparisons
         state.comparisons += batch_comparisons
@@ -379,26 +377,16 @@ class IncrementalSxnm:
             return 0
         decider = self.engine.decision.decider(spec, self.config,
                                                cluster_sets, None)
-        forest = self._closure.forest(spec.name)
-        confirmed = 0
+        before = set(state.pairs)
         for order in state.sorted_keys:
-            for index, (_, eid) in enumerate(order):
-                start = max(0, index - window + 1)
-                for other_index in range(start, index):
-                    other_eid = order[other_index][1]
-                    if eid not in perturbed and other_eid not in perturbed:
-                        continue
-                    pair = (min(other_eid, eid), max(other_eid, eid))
-                    if pair in state.pairs:
-                        continue
-                    state.comparisons += 1
-                    verdict = decider.compare(state.table.row(pair[0]),
-                                              state.table.row(pair[1]))
-                    if verdict.is_duplicate:
-                        state.pairs.add(pair)
-                        forest.union(pair[0], pair[1])
-                        confirmed += 1
-        return confirmed
+            state.comparisons += compare_pairs(
+                _touched_rows(order, window, perturbed, state.table),
+                decider.compare, state.pairs)
+        forest = self._closure.forest(spec.name)
+        confirmed = state.pairs - before
+        for left, right in confirmed:
+            forest.union(left, right)
+        return len(confirmed)
 
     def update(self, eids, source: str | XmlDocument) -> dict[str, int]:
         """Replace instances: delete ``eids``, then ingest ``source``.

@@ -66,7 +66,7 @@ def config_fingerprint(config) -> str:
     Covers the candidate relations (PATH/OD/KEY), per-candidate and
     global detection parameters (window, thresholds, descendant usage
     and weights, φ names) — everything that can change detected pairs.
-    Performance knobs (caches, batching, streaming) are
+    Performance knobs (caches, streaming) are
     deliberately excluded: they change work, never results, so flipping
     them must not retire a resumable run.
     """

@@ -13,12 +13,14 @@ Two implementations with identical output:
   a literal single pass that never materializes more than the currently
   open candidate subtree.  Restricted to plain-step candidate paths
   (no predicates, wildcards, or ``//``), which covers every configuration
-  in the paper.
+  in the paper.  Its state machine, :func:`stream_gk_rows`, hands rows
+  to a per-candidate sink, so the out-of-core path
+  (:mod:`repro.core.spill`) reuses it with a spilling sink.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
 from ..config import CandidateSpec, SxnmConfig
 from ..errors import ConfigError
@@ -115,14 +117,30 @@ def generate_gk_streaming(source: str | Iterable[XmlEvent],
     :class:`~repro.xmlmodel.XmlEvent`.  Only the subtree of the currently
     open outermost candidate is materialized.
     """
-    hierarchy = hierarchy or CandidateHierarchy(config)
     events = iter_events(source) if isinstance(source, str) else source
+    tables = {spec.name: _new_table(spec) for spec in config.candidates}
+    stream_gk_rows(events, config, hierarchy,
+                   {name: table.add for name, table in tables.items()})
+    return tables
 
+
+def stream_gk_rows(events: Iterable[XmlEvent], config: SxnmConfig,
+                   hierarchy: CandidateHierarchy | None,
+                   sinks: dict[str, Callable[[GkRow], object]]) -> None:
+    """The streaming key generator: one pass, rows handed to ``sinks``.
+
+    ``sinks`` maps each candidate name to the callable receiving its
+    rows in close (document) order — :meth:`GkTable.add` in memory, a
+    spilling buffer out of core.  Eids are assigned in pre-order over
+    all start events (exactly as ``assign_eids`` numbers a parsed
+    document), candidates match on the open-tag path, and each finished
+    row carries the eids of its nested child-candidate instances.
+    """
+    hierarchy = hierarchy or CandidateHierarchy(config)
     by_steps: dict[tuple[str, ...], CandidateNode] = {}
     for spec in config.candidates:
         by_steps[_plain_steps(spec)] = hierarchy.node(spec.name)
     definitions = {spec.name: spec.key_definitions() for spec in config.candidates}
-    tables = {spec.name: _new_table(spec) for spec in config.candidates}
 
     tag_stack: list[str] = []
     open_candidates: list[_OpenCandidate] = []
@@ -169,10 +187,9 @@ def generate_gk_streaming(source: str | Iterable[XmlEvent],
                 spec = finished.node.spec
                 row = _extract_row(finished.element, spec, definitions[spec.name])
                 row.children = finished.children
-                tables[spec.name].add(row)
+                sinks[spec.name](row)
                 if open_candidates:
                     # Register with the nearest enclosing candidate, which is
                     # the direct parent in the candidate tree.
                     open_candidates[-1].children.setdefault(
                         finished.node.name, []).append(finished.element.eid)
-    return tables

@@ -40,9 +40,9 @@ from typing import Literal
 
 from ..config import CandidateSpec, SxnmConfig
 from ..errors import DetectionError
-from ..similarity import (ComparisonPlan, ComparisonStats, PairBatch,
-                          PhiCache, dice_coefficient, jaccard,
-                          multiset_jaccard, overlap_coefficient)
+from ..similarity import (ComparisonPlan, ComparisonStats, PhiCache,
+                          dice_coefficient, jaccard, multiset_jaccard,
+                          overlap_coefficient)
 from .clusters import ClusterSet
 from .gk import GkRow
 
@@ -213,54 +213,6 @@ class SimilarityMeasure:
                 od = self._store_od(left, right,
                                     self.plan.score(left.ods, right.ods))
         return self._classify(left, right, od)
-
-    def compare_block(self, block: list[tuple[GkRow, GkRow]],
-                      ) -> list[PairVerdict]:
-        """Batched :meth:`compare` over a block of pairs.
-
-        Verdicts (and every non-batch counter) are bit-identical to
-        calling :meth:`compare` on each pair in block order; the OD
-        layer runs through a :class:`~repro.similarity.batch.PairBatch`
-        so per-string artifacts and column-wise prefilters amortize
-        across the block.
-        """
-        batch = self._pair_batch()
-        verdicts: list[PairVerdict] = []
-        if self.use_filters:
-            probes = batch.probe_block([(left.ods, right.ods)
-                                        for left, right in block])
-            for (left, right), probe in zip(block, probes):
-                if probe.prefiltered:
-                    self.filtered_comparisons += 1
-                    verdicts.append(PairVerdict(probe.score, None,
-                                                probe.score, False))
-                    continue
-                od = self._cached_od(left, right)
-                if od is None:
-                    outcome = self.plan.resolve(probe)
-                    if not outcome.exact:
-                        verdicts.append(PairVerdict(outcome.score, None,
-                                                    outcome.score, False))
-                        continue
-                    od = self._store_od(left, right, outcome.score)
-                verdicts.append(self._classify(left, right, od))
-            return verdicts
-        self.stats.batched_pairs += len(block)
-        for left, right in block:
-            od = self._cached_od(left, right)
-            if od is None:
-                od = self._store_od(left, right,
-                                    self.plan.score(left.ods, right.ods))
-            verdicts.append(self._classify(left, right, od))
-        return verdicts
-
-    def _pair_batch(self) -> PairBatch:
-        """The lazily created batch layer."""
-        batch = self.__dict__.get("_batch")
-        if batch is None:
-            batch = PairBatch(self.plan)
-            self._batch = batch
-        return batch
 
     def _classify(self, left: GkRow, right: GkRow, od: float) -> PairVerdict:
         """Descendant layer + decision rule for an exact OD score."""

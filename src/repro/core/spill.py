@@ -14,15 +14,11 @@ Provable equivalence is the design constraint, not an afterthought:
   same total order as :meth:`~repro.core.gk.GkTable.sorted_by_key`
   (eids are unique, so the order has no ties) — and ``heapq.merge``
   over sorted runs reproduces that order exactly.
-* :func:`stream_window_pass` keeps a ``window - 1`` deque of
-  predecessors and compares oldest-first, which is literally the
-  ``start == 0`` loop of :func:`~repro.core.window.segment_window_pass`
-  with the ``ordered`` list virtualized.
-* :func:`stream_de_window_pass` makes two merge passes: contiguous
-  equal-key groups first (sorted order makes groups contiguous and
-  group order equal to the in-memory dict's first-occurrence order),
-  then a representative-filtered second merge that regenerates the
-  in-memory ``ordered`` list element for element.
+* Window passes run the one sliding kernel of :mod:`repro.core.window`
+  (a ``window - 1`` deque of predecessors) over the merged stream, so
+  the sorted list is never materialized.  A duplicate-elimination pass
+  walks a :class:`MergedKeyOrder` twice — equal-key groups first, then
+  the representatives — re-merging the runs each time.
 
 Run files reuse the index's durability discipline: a magic header, a
 JSON meta line carrying a SHA-256 over the payload, atomic
@@ -41,7 +37,6 @@ import json
 import os
 import shutil
 import tempfile
-from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 
 from ..config import CandidateSpec, SxnmConfig
@@ -50,10 +45,9 @@ from ..xmlmodel import XmlDocument, XmlElement, XmlEvent, iter_events
 from ..xmlmodel.parser import DEFAULT_CHUNK_SIZE, iter_events_file
 from .candidates import CandidateHierarchy
 from .gk import GkRow
-from .keygen import _extract_row, _OpenCandidate, _plain_steps
+from .keygen import stream_gk_rows
 from .stages import (BOTTOM_UP, CandidateContext, NeighborhoodOutcome,
                      candidate_multipass)
-from .window import CompareBlock
 
 SPILL_MAGIC = "sxnm-spill"
 SPILL_VERSION = 1
@@ -342,7 +336,7 @@ class SpilledGkTable:
     ``candidate_name`` / ``key_count`` / ``od_count``, ``__len__``,
     ``__iter__`` (document order), ``eids()``, ``sorted_by_key()``
     (``sorted_by_key`` materializes; the constant-memory path uses
-    :meth:`iter_sorted_by_key` instead).  Only the eid list stays in
+    :meth:`merged_order` instead).  Only the eid list stays in
     memory: O(rows) integers, already required by closure.
     """
 
@@ -406,12 +400,20 @@ class SpilledGkTable:
         self.key_runs[key_index] = names
         return names
 
-    def iter_sorted_by_key(self, key_index: int) -> Iterator[GkRow]:
-        """Lazy merged stream in exact ``sorted_by_key`` order."""
+    def merged_order(self, key_index: int) -> "MergedKeyOrder":
+        """A re-iterable view in exact ``sorted_by_key`` order.
+
+        The key's runs are reduced to at most ``fan_in`` now; every
+        iteration of the view re-merges them from disk.
+        """
         if not 0 <= key_index < self.key_count:
             raise IndexError(f"key index {key_index} out of range "
                              f"for {self.key_count} keys")
-        return merge_runs(self.store, self._reduced(key_index), key_index)
+        return MergedKeyOrder(self.store, self._reduced(key_index), key_index)
+
+    def iter_sorted_by_key(self, key_index: int) -> Iterator[GkRow]:
+        """Lazy merged stream in exact ``sorted_by_key`` order."""
+        return iter(self.merged_order(key_index))
 
     def sorted_by_key(self, key_index: int) -> list[GkRow]:
         return list(self.iter_sorted_by_key(key_index))
@@ -421,6 +423,18 @@ class SpilledGkTable:
         return {"rows": len(self._eids), "key_count": self.key_count,
                 "od_count": self.od_count, "doc": list(self.doc_runs),
                 "keys": [list(names) for names in self.key_runs]}
+
+
+class MergedKeyOrder:
+    """One key's sorted order over spilled runs, re-merged per iteration."""
+
+    def __init__(self, store: SpillStore, names: list[str], key_index: int):
+        self.store = store
+        self.names = names
+        self.key_index = key_index
+
+    def __iter__(self) -> Iterator[GkRow]:
+        return merge_runs(self.store, self.names, self.key_index)
 
 
 class _CandidateSpiller:
@@ -476,204 +490,19 @@ def spill_gk_streaming(events: Iterable[XmlEvent], config: SxnmConfig,
                        ) -> dict[str, SpilledGkTable]:
     """Single-pass streaming key generation that spills rows to runs.
 
-    The state machine is :func:`~repro.core.keygen.generate_gk_streaming`
-    verbatim — same eid assignment (pre-order over all start events),
-    same candidate matching on the open-tag path, same child
-    registration — with ``table.add(row)`` replaced by a spilling
-    buffer.  Peak memory is the open candidate subtree plus one
-    ``max_rows`` buffer per candidate.
+    The one streaming key generator,
+    :func:`~repro.core.keygen.stream_gk_rows`, with a spilling buffer as
+    each candidate's row sink — same eids, rows and children as
+    :func:`~repro.core.keygen.generate_gk_streaming`.  Peak memory is
+    the open candidate subtree plus one ``max_rows`` buffer per
+    candidate.
     """
-    hierarchy = hierarchy or CandidateHierarchy(config)
-    by_steps = {_plain_steps(spec): hierarchy.node(spec.name)
-                for spec in config.candidates}
-    definitions = {spec.name: spec.key_definitions()
-                   for spec in config.candidates}
     spillers = {spec.name: _CandidateSpiller(store, spec, max_rows)
                 for spec in config.candidates}
-
-    tag_stack: list[str] = []
-    open_candidates: list[_OpenCandidate] = []
-    build_stack: list[XmlElement] = []
-    last_closed: XmlElement | None = None
-    next_eid = 0
-
-    for event in events:
-        if event.kind == "start":
-            tag, attributes = event.value  # type: ignore[misc]
-            tag_stack.append(tag)
-            eid = next_eid
-            next_eid += 1
-            inside = bool(open_candidates)
-            node = by_steps.get(tuple(tag_stack))
-            if inside or node is not None:
-                element = XmlElement(tag, attributes=dict(attributes))
-                element.eid = eid
-                if build_stack:
-                    build_stack[-1].append(element)
-                build_stack.append(element)
-                if node is not None:
-                    open_candidates.append(
-                        _OpenCandidate(node, element, len(tag_stack)))
-                last_closed = None
-        elif event.kind == "text":
-            if build_stack:
-                text = str(event.value)
-                current = build_stack[-1]
-                if last_closed is not None and last_closed.parent is current:
-                    last_closed.tail = (last_closed.tail or "") + text
-                else:
-                    current.text = (current.text or "") + text
-        else:  # end
-            depth = len(tag_stack)
-            tag_stack.pop()
-            if not build_stack:
-                continue
-            closing = build_stack.pop()
-            last_closed = closing if build_stack else None
-            if open_candidates and open_candidates[-1].depth == depth \
-                    and open_candidates[-1].element is closing:
-                finished = open_candidates.pop()
-                spec = finished.node.spec
-                row = _extract_row(finished.element, spec,
-                                   definitions[spec.name])
-                row.children = finished.children
-                spillers[spec.name].add(row)
-                if open_candidates:
-                    open_candidates[-1].children.setdefault(
-                        finished.node.name, []).append(finished.element.eid)
+    stream_gk_rows(events, config, hierarchy,
+                   {name: spiller.add for name, spiller in spillers.items()})
     return {name: spiller.finish(fan_in)
             for name, spiller in spillers.items()}
-
-
-# ---------------------------------------------------------------------------
-# Streamed window kernels
-
-
-def stream_window_pass(rows: Iterable[GkRow], window: int,
-                       compare, pairs: set[tuple[int, int]],
-                       compare_block: CompareBlock | None = None,
-                       skip_known: bool = True) -> int:
-    """Sliding window over a key-ordered row stream; returns comparisons.
-
-    Holds a deque of the last ``window - 1`` rows and compares each
-    arriving anchor against them oldest-first — for anchor ``i`` that is
-    exactly indices ``window_start(i, window) .. i-1``, the block
-    :func:`~repro.core.window.segment_window_pass` visits, so pair
-    order, ``skip_known`` effects, and comparison counts are identical
-    with the sorted list never materialized.
-    """
-    if window < 2:
-        raise ValueError("window size must be >= 2")
-    comparisons = 0
-    recent: deque[GkRow] = deque(maxlen=window - 1)
-    for row in rows:
-        if compare_block is not None:
-            block: list[tuple[GkRow, GkRow]] = []
-            block_pairs: list[tuple[int, int]] = []
-            for other in recent:
-                pair = (min(other.eid, row.eid), max(other.eid, row.eid))
-                if skip_known and pair in pairs:
-                    continue
-                block.append((other, row))
-                block_pairs.append(pair)
-            if block:
-                for pair, verdict in zip(block_pairs, compare_block(block)):
-                    if verdict.is_duplicate:
-                        pairs.add(pair)
-                comparisons += len(block)
-        else:
-            for other in recent:
-                pair = (min(other.eid, row.eid), max(other.eid, row.eid))
-                if skip_known and pair in pairs:
-                    continue
-                comparisons += 1
-                if compare(other, row).is_duplicate:
-                    pairs.add(pair)
-        recent.append(row)
-    return comparisons
-
-
-def _compare_group(group: list[GkRow], compare,
-                   pairs: set[tuple[int, int]],
-                   compare_block: CompareBlock | None) -> int:
-    """Anchor-vs-members comparisons for one equal-key group."""
-    anchor = group[0]
-    if compare_block is not None:
-        block: list[tuple[GkRow, GkRow]] = []
-        block_pairs: list[tuple[int, int]] = []
-        for row in group[1:]:
-            pair = (min(anchor.eid, row.eid), max(anchor.eid, row.eid))
-            if pair in pairs:
-                continue
-            block.append((anchor, row))
-            block_pairs.append(pair)
-        if block:
-            for pair, verdict in zip(block_pairs, compare_block(block)):
-                if verdict.is_duplicate:
-                    pairs.add(pair)
-        return len(block)
-    count = 0
-    for row in group[1:]:
-        pair = (min(anchor.eid, row.eid), max(anchor.eid, row.eid))
-        if pair in pairs:
-            continue
-        count += 1
-        if compare(anchor, row).is_duplicate:
-            pairs.add(pair)
-    return count
-
-
-def stream_de_window_pass(sorted_factory: Callable[[], Iterator[GkRow]],
-                          key_index: int, window: int, compare,
-                          pairs: set[tuple[int, int]],
-                          compare_block: CompareBlock | None = None) -> int:
-    """Duplicate-elimination pass over a re-playable sorted stream.
-
-    ``sorted_factory`` must return a fresh ``(key, eid)``-ordered
-    iterator each call; the pass consumes it twice.  Pass one walks
-    contiguous equal-key groups (sorted order makes every group
-    contiguous, and group order equals the in-memory dict's
-    first-occurrence order) comparing members against the group's first
-    row.  Pass two re-merges and filters to the windowed sequence —
-    empty-key rows plus each group's first row, which in sorted order
-    (empty keys sort first) reproduces the in-memory ``ordered`` list
-    exactly — and slides the streaming window over it.  The strict
-    pass-one-before-pass-two ordering preserves
-    :func:`~repro.core.window.de_window_pass`'s ``skip_known``
-    interplay, so pairs and comparison counts match bit for bit.
-    """
-    if window < 2:
-        raise ValueError("window size must be >= 2")
-    comparisons = 0
-    group: list[GkRow] = []
-    group_key: str | None = None
-    for row in sorted_factory():
-        key_value = row.keys[key_index]
-        if not key_value:
-            continue
-        if key_value == group_key:
-            group.append(row)
-            continue
-        if len(group) >= 2:
-            comparisons += _compare_group(group, compare, pairs, compare_block)
-        group = [row]
-        group_key = key_value
-    if len(group) >= 2:
-        comparisons += _compare_group(group, compare, pairs, compare_block)
-
-    def representatives() -> Iterator[GkRow]:
-        last_key: str | None = None
-        for row in sorted_factory():
-            key_value = row.keys[key_index]
-            if not key_value:
-                yield row
-            elif key_value != last_key:
-                last_key = key_value
-                yield row
-
-    comparisons += stream_window_pass(representatives(), window, compare,
-                                      pairs, compare_block=compare_block)
-    return comparisons
 
 
 # ---------------------------------------------------------------------------
@@ -792,9 +621,10 @@ class SpillingKeySource:
 class SpilledWindowStrategy:
     """Fixed multi-pass windows over disk-resident merged key order.
 
-    In-memory tables run :func:`~repro.core.stages.candidate_multipass`.
-    Spilled tables run the constant-memory streamed kernels, emitting a
-    ``run_merged`` event per pass.
+    The same :func:`~repro.core.stages.candidate_multipass` as in
+    memory; for spilled tables the sorted rows come from a
+    :class:`MergedKeyOrder` (constant memory), and each pass emits a
+    ``run_merged`` event.
     """
 
     traversal = BOTTOM_UP
@@ -807,23 +637,15 @@ class SpilledWindowStrategy:
         if not getattr(table, "spilled", False):
             return NeighborhoodOutcome(
                 candidate_multipass(ctx, self.duplicate_elimination))
-        total = 0
-        for key_index in ctx.key_indices:
-            ctx.pass_started(key_index)
-            if self.duplicate_elimination:
-                comparisons = stream_de_window_pass(
-                    lambda: table.iter_sorted_by_key(key_index), key_index,
-                    ctx.window, ctx.compare, ctx.pairs,
-                    compare_block=ctx.compare_block)
-            else:
-                comparisons = stream_window_pass(
-                    table.iter_sorted_by_key(key_index), ctx.window,
-                    ctx.compare, ctx.pairs, compare_block=ctx.compare_block)
+
+        def merged(key_index: int) -> MergedKeyOrder:
+            order = table.merged_order(key_index)
             if ctx.emit is not None:
                 hook = getattr(ctx.emit, "run_merged", None)
                 if hook is not None:
                     hook(ctx.spec.name, key_index,
                          table.run_count(key_index))
-            ctx.pass_finished(key_index, comparisons)
-            total += comparisons
-        return NeighborhoodOutcome(total)
+            return order
+
+        return NeighborhoodOutcome(candidate_multipass(
+            ctx, self.duplicate_elimination, sorted_rows=merged))

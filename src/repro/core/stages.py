@@ -26,7 +26,7 @@ pairs, clusters, and comparison counts.
 from __future__ import annotations
 
 import copy
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
@@ -41,8 +41,8 @@ from .keygen import generate_gk, generate_gk_streaming
 from .observer import ObserverGroup
 from .simmeasure import Decision, PairVerdict, SimilarityMeasure
 from .theory import XmlEquationalTheory
-from .window import (adaptive_window_pass, de_window_pass,
-                     segment_window_pass, window_pass)
+from .window import (adaptive_window_pass, compare_pairs, de_window_pairs,
+                     window_pairs)
 
 Compare = Callable[[GkRow, GkRow], PairVerdict]
 
@@ -61,11 +61,6 @@ class CandidateContext:
     ``compare`` is the classifier callable (possibly wrapped for
     per-pair observer events); ``decider`` is the underlying
     :class:`PairDecider` the decision policy built.
-
-    ``compare_block`` is the batched classifier (``batchCompare``): one
-    call per anchor block, verdicts in pair order, results bit-identical
-    to ``compare``.  ``None`` when batching is off or the decider has no
-    block form; strategies fall back to ``compare`` pair by pair.
     """
 
     node: CandidateNode
@@ -80,8 +75,6 @@ class CandidateContext:
     cluster_sets: dict[str, ClusterSet]
     emit: ObserverGroup | None = None
     decider: PairDecider | None = None
-    compare_block: Callable[[list[tuple[GkRow, GkRow]]],
-                            list[PairVerdict]] | None = None
 
     def pass_started(self, key_index: int) -> None:
         if self.emit is not None:
@@ -116,23 +109,28 @@ class NeighborhoodOutcome:
 
 
 def candidate_multipass(ctx: CandidateContext,
-                        duplicate_elimination: bool = False) -> int:
+                        duplicate_elimination: bool = False,
+                        sorted_rows: Callable[[int], Iterable[GkRow]]
+                        | None = None) -> int:
     """One window (or DE) pass per selected key; returns comparisons.
 
-    Passes run in key order and share ``ctx.pairs``, so a pair confirmed
-    by an earlier pass is never compared again.
+    ``sorted_rows(key_index)`` gives the candidate's rows in
+    ``(key, eid)`` order — :meth:`GkTable.sorted_by_key` by default, a
+    re-iterable merged view for spilled tables (a DE pass walks it
+    twice).  Passes run in key order and share ``ctx.pairs``, so a pair
+    confirmed by an earlier pass is never compared again.
     """
+    if sorted_rows is None:
+        sorted_rows = ctx.table.sorted_by_key
     total = 0
     for key_index in ctx.key_indices:
         ctx.pass_started(key_index)
+        rows = sorted_rows(key_index)
         if duplicate_elimination:
-            comparisons = de_window_pass(
-                ctx.table, key_index, ctx.window, ctx.compare, ctx.pairs,
-                compare_block=ctx.compare_block)
+            candidates = de_window_pairs(rows, key_index, ctx.window)
         else:
-            comparisons = window_pass(
-                ctx.table, key_index, ctx.window, ctx.compare, ctx.pairs,
-                compare_block=ctx.compare_block)
+            candidates = window_pairs(rows, ctx.window)
+        comparisons = compare_pairs(candidates, ctx.compare, ctx.pairs)
         ctx.pass_finished(key_index, comparisons)
         total += comparisons
     return total
@@ -480,8 +478,8 @@ class ParentGroupedStrategy:
         ordered = sorted(rows, key=lambda row: (row.keys[key_index], row.eid))
         # Groups share ctx.pairs sequentially: a pair confirmed in an
         # earlier group is skipped, not compared again.
-        return segment_window_pass(ordered, ctx.window, ctx.compare,
-                                   ctx.pairs, compare_block=ctx.compare_block)
+        return compare_pairs(window_pairs(ordered, ctx.window), ctx.compare,
+                             ctx.pairs)
 
 
 # ---------------------------------------------------------------------------

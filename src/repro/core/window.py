@@ -1,159 +1,163 @@
-"""The sliding-window engine of the duplicate-detection phase.
+"""The sliding-window kernel of the duplicate-detection phase.
 
-For one key of one candidate, :func:`window_pass` sorts the GK rows by
-that key and compares each row to its ``window - 1`` predecessors in key
-order, exactly the relational SNM windowing transplanted to GK tables.
+SXNM's detection phase (paper Sec. 3.4) slides a fixed window over a
+key-sorted GK table and compares each row with its ``window - 1``
+predecessors.  Every windowed neighborhood in the codebase is built
+from three pieces:
+
+* :func:`window_pairs` — the one sliding loop: ``(predecessor, anchor)``
+  pairs over any row iterable, oldest predecessor first;
+* :func:`de_window_pairs` — the duplicate-elimination variant over a
+  re-iterable sorted source: equal-key group pairs first, then the
+  window pairs over the group representatives;
+* :func:`touched_window_pairs` — the incremental filter: only window
+  pairs with at least one new (or perturbed) member;
+* :func:`compare_pairs` — the one compare loop: classifies candidate
+  pairs one at a time and collects the confirmed ones.
+
+The generators are lazy, so :func:`compare_pairs` checks ``skip_known``
+against pairs confirmed earlier *in the same pass* too — a DE pass's
+group pairs are settled before its window pairs are generated.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections import deque
+from collections.abc import Callable, Iterable, Iterator
+from operator import attrgetter
+from typing import Any, TypeVar
 
 from ..similarity import filtered_edit_similarity, levenshtein_similarity
 from .gk import GkRow, GkTable
 from .simmeasure import PairVerdict
 
-#: Batched classifier: one call for a block of pairs, verdicts in order.
-CompareBlock = Callable[[list[tuple[GkRow, GkRow]]], list[PairVerdict]]
+Row = TypeVar("Row")
 
 
-def window_start(index: int, window: int) -> int:
-    """First in-window predecessor index of the anchor at ``index``.
+def window_pairs(rows: Iterable[Row], window: int) -> Iterator[tuple[Row, Row]]:
+    """``(predecessor, anchor)`` pairs of a sliding window over ``rows``.
 
-    The one piece of window arithmetic everything shares: a sliding
-    window of size ``window`` compares the anchor against the up to
-    ``window - 1`` rows before it, so the block starts at
-    ``max(0, index - window + 1)``.  It also says how many predecessor
-    rows a segment starting at anchor ``index`` must prepend.
+    Keeps a deque of the last ``window - 1`` rows; each arriving anchor
+    is paired with them oldest-first.  ``rows`` may be any iterable — a
+    sorted list, or a merged stream that is never materialized.
     """
-    return max(0, index - window + 1)
+    if window < 2:
+        raise ValueError("window size must be >= 2")
+    recent: deque[Row] = deque(maxlen=window - 1)
+    for row in rows:
+        for other in recent:
+            yield other, row
+        recent.append(row)
 
 
-def _compare_window_block(row: GkRow, ordered: list[GkRow], start: int,
-                          index: int, pairs: set[tuple[int, int]],
-                          compare_block: CompareBlock,
-                          skip_known: bool = True) -> int:
-    """Compare one anchor row against its window block in a single call.
+def de_window_pairs(rows: Iterable[GkRow], key_index: int,
+                    window: int) -> Iterator[tuple[GkRow, GkRow]]:
+    """Duplicate-elimination candidate pairs (DE-SNM idea, paper Sec. 5).
 
-    Equivalent to the pair-at-a-time loop: the anchor's window pairs
-    all share the anchor eid and have distinct predecessor eids, so no
-    pair confirmed inside the block could have been skipped by a
-    mid-block ``skip_known`` check — deferring the checks to block
-    build time changes nothing.  Returns the comparison count.
+    ``rows`` is a *re-iterable* ``(key, eid)``-sorted source (a list, or
+    a view re-merging spilled runs); it is walked twice.  The first walk
+    yields, per group of rows sharing an identical non-empty key,
+    ``(first, member)`` for every later member — equal keys are the
+    cheapest duplicates to confirm.  The second walk yields the window
+    pairs over one representative per key value.  Rows whose key is
+    empty carry no grouping evidence (the key generator found nothing to
+    extract), so each one enters the window individually.  Sorted order
+    makes every group contiguous.
     """
-    block: list[tuple[GkRow, GkRow]] = []
-    block_pairs: list[tuple[int, int]] = []
-    for other_index in range(start, index):
-        other = ordered[other_index]
-        pair = (min(other.eid, row.eid), max(other.eid, row.eid))
+    if window < 2:
+        raise ValueError("window size must be >= 2")
+    group: list[GkRow] = []
+    for row in rows:
+        key_value = row.keys[key_index]
+        if not key_value:
+            continue
+        if group and key_value == group[0].keys[key_index]:
+            group.append(row)
+            continue
+        for member in group[1:]:
+            yield group[0], member
+        group = [row]
+    for member in group[1:]:
+        yield group[0], member
+
+    def representatives() -> Iterator[GkRow]:
+        last_key: str | None = None
+        for row in rows:
+            key_value = row.keys[key_index]
+            if not key_value:
+                yield row
+            elif key_value != last_key:
+                last_key = key_value
+                yield row
+
+    yield from window_pairs(representatives(), window)
+
+
+def touched_window_pairs(order: list[tuple[str, int]], window: int,
+                         touched: set[int]) -> Iterator[tuple[int, int]]:
+    """Window pairs of an incremental session that need comparing.
+
+    ``order`` is a sorted ``(key, id)`` list; yields ``(smaller id,
+    larger id)`` for every window pair with at least one ``touched``
+    member — neighborhoods of untouched members only were examined in
+    an earlier batch.
+    """
+    for (_, left), (_, right) in window_pairs(order, window):
+        if left in touched or right in touched:
+            yield (left, right) if left < right else (right, left)
+
+
+def compare_pairs(candidates: Iterable[tuple[Any, Any]],
+                  compare: Callable[[Any, Any], Any],
+                  pairs: set[tuple[int, int]],
+                  skip_known: bool = True, *,
+                  ident: Callable[[Any], int] = attrgetter("eid"),
+                  is_duplicate: Callable[[Any], bool]
+                  = attrgetter("is_duplicate")) -> int:
+    """Classify candidate pairs one at a time; returns the comparison count.
+
+    Each ``(left, right)`` pair is identified by its two ids (``ident``,
+    the eid by default), smaller first.  With ``skip_known`` (default) a
+    pair already in ``pairs`` is not compared again — the multi-pass
+    method unions pair sets, so re-confirming is pure waste.  The check
+    runs as each pair is pulled from ``candidates``, so a pair confirmed
+    earlier in the same pass is skipped too.  ``compare(left, right)``
+    returns a verdict; confirmed pairs (``is_duplicate(verdict)``) are
+    added to ``pairs``.
+    """
+    comparisons = 0
+    for left, right in candidates:
+        low, high = ident(left), ident(right)
+        pair = (low, high) if low < high else (high, low)
         if skip_known and pair in pairs:
             continue
-        block.append((other, row))
-        block_pairs.append(pair)
-    if not block:
-        return 0
-    for pair, verdict in zip(block_pairs, compare_block(block)):
-        if verdict.is_duplicate:
+        comparisons += 1
+        if is_duplicate(compare(left, right)):
             pairs.add(pair)
-    return len(block)
+    return comparisons
 
 
 def window_pass(table: GkTable, key_index: int, window: int,
                 compare: Callable[[GkRow, GkRow], PairVerdict],
                 pairs: set[tuple[int, int]],
-                skip_known: bool = True,
-                compare_block: CompareBlock | None = None) -> int:
-    """One sliding-window pass; returns the number of comparisons made.
+                skip_known: bool = True) -> int:
+    """One sliding-window pass over ``table`` sorted by one key.
 
     Confirmed duplicate eid pairs are added to ``pairs`` (smaller eid
-    first).  With ``skip_known`` (default), pairs already confirmed by an
-    earlier pass are not re-compared — the multi-pass method unions pair
-    sets, so re-confirming is pure waste.
-
-    With ``compare_block``, each anchor row's window of predecessors is
-    classified in one batched call instead of pair by pair — identical
-    pairs and verdicts (see :func:`_compare_window_block`), amortized
-    per-string work.
-
-    A full pass is the ``start == 0`` special case of
-    :func:`segment_window_pass` (no overlap rows), so the sliding loop
-    lives there only.
+    first); returns the number of comparisons made.
     """
-    return segment_window_pass(table.sorted_by_key(key_index), window,
-                               compare, pairs, start=0,
-                               compare_block=compare_block,
-                               skip_known=skip_known)
+    return compare_pairs(window_pairs(table.sorted_by_key(key_index), window),
+                         compare, pairs, skip_known)
 
 
 def de_window_pass(table: GkTable, key_index: int, window: int,
                    compare: Callable[[GkRow, GkRow], PairVerdict],
-                   pairs: set[tuple[int, int]],
-                   compare_block: CompareBlock | None = None) -> int:
-    """Duplicate-elimination window pass (DE-SNM idea, paper Sec. 5).
-
-    Rows sharing an identical non-empty key are handled first: each group
-    member is compared against the group's first row only (equal keys are
-    the cheapest duplicates to confirm), and a single representative per
-    key value enters the sliding window.  On heavily duplicated data the
-    windowed list shrinks substantially.  Returns the comparison count.
-
-    Rows whose key is empty carry no grouping evidence (the key
-    generator found nothing to extract), so each one is unique: it
-    enters the window individually and is never anchor-compared.
-    """
-    if window < 2:
-        raise ValueError("window size must be >= 2")
-    comparisons = 0
-    groups: dict[str, list[GkRow]] = {}
-    ordered: list[GkRow] = []
-    # The rows come from ``sorted_by_key``, so appending each empty-key
-    # row and each group's first row as they appear keeps ``ordered`` in
-    # (key, eid) order (groups preserve first-occurrence order too).
-    for row in table.sorted_by_key(key_index):
-        key_value = row.keys[key_index]
-        if not key_value:
-            ordered.append(row)
-            continue
-        group = groups.get(key_value)
-        if group is None:
-            groups[key_value] = [row]
-            ordered.append(row)
-        else:
-            group.append(row)
-
-    for group in groups.values():
-        if len(group) < 2:
-            continue
-        anchor = group[0]
-        if compare_block is not None:
-            # One block per equal-key group: the anchor repeats, member
-            # eids are distinct — same deferred-skip argument as the
-            # window blocks.
-            block = []
-            block_pairs = []
-            for row in group[1:]:
-                pair = (min(anchor.eid, row.eid), max(anchor.eid, row.eid))
-                if pair in pairs:
-                    continue
-                block.append((anchor, row))
-                block_pairs.append(pair)
-            comparisons += len(block)
-            if block:
-                for pair, verdict in zip(block_pairs, compare_block(block)):
-                    if verdict.is_duplicate:
-                        pairs.add(pair)
-            continue
-        for row in group[1:]:
-            pair = (min(anchor.eid, row.eid), max(anchor.eid, row.eid))
-            if pair in pairs:
-                continue
-            comparisons += 1
-            if compare(anchor, row).is_duplicate:
-                pairs.add(pair)
-
-    comparisons += segment_window_pass(ordered, window, compare, pairs,
-                                       start=0, compare_block=compare_block)
-    return comparisons
+                   pairs: set[tuple[int, int]]) -> int:
+    """One duplicate-elimination pass (:func:`de_window_pairs`);
+    returns the comparison count."""
+    return compare_pairs(
+        de_window_pairs(table.sorted_by_key(key_index), key_index, window),
+        compare, pairs)
 
 
 def key_similarity(left: str, right: str) -> float:
@@ -191,83 +195,33 @@ def adaptive_window_pass(table: GkTable, key_index: int,
     if not 2 <= min_window <= max_window:
         raise ValueError("need 2 <= min_window <= max_window")
     ordered = table.sorted_by_key(key_index)
-    comparisons = 0
-    for index, row in enumerate(ordered):
-        reach = 1
-        while reach < max_window and index - reach >= 0:
-            if reach >= min_window - 1:
-                predecessor = ordered[index - reach]
-                if not keys_similar(predecessor.keys[key_index],
-                                    row.keys[key_index],
-                                    key_similarity_floor):
-                    break
-            reach += 1
-        for other_index in range(max(0, index - reach + 1), index):
-            other = ordered[other_index]
-            pair = (min(other.eid, row.eid), max(other.eid, row.eid))
-            if pair in pairs:
-                continue
-            comparisons += 1
-            if compare(other, row).is_duplicate:  # type: ignore[attr-defined]
-                pairs.add(pair)
-    return comparisons
 
+    def candidates() -> Iterator[tuple[GkRow, GkRow]]:
+        for index, row in enumerate(ordered):
+            reach = 1
+            while reach < max_window and index - reach >= 0:
+                if reach >= min_window - 1:
+                    predecessor = ordered[index - reach]
+                    if not keys_similar(predecessor.keys[key_index],
+                                        row.keys[key_index],
+                                        key_similarity_floor):
+                        break
+                reach += 1
+            for other_index in range(max(0, index - reach + 1), index):
+                yield ordered[other_index], row
 
-def segment_window_pass(ordered: list[GkRow], window: int,
-                        compare: Callable[[GkRow, GkRow], PairVerdict],
-                        pairs: set[tuple[int, int]],
-                        start: int = 0,
-                        compare_block: CompareBlock | None = None,
-                        skip_known: bool = True) -> int:
-    """Sliding-window comparisons over one contiguous segment of a pass.
-
-    ``ordered`` is a slice of a key-sorted row list.  The first ``start``
-    rows are overlap carried from the preceding segment: they serve only
-    as predecessors and never anchor comparisons themselves.  Because
-    each in-window pair is anchored by exactly one row (the later one in
-    key order), splitting a sorted pass into contiguous segments that
-    each prepend their ``window - 1`` predecessor rows covers every
-    adjacency exactly once — the union of the segments' pairs equals the
-    serial pass.  With ``skip_known`` (default), pairs already in
-    ``pairs`` are skipped; confirmed eid pairs are added (smaller eid
-    first).  Returns the comparison count.
-
-    This is the one sliding loop in the codebase: a full pass is the
-    ``start == 0`` case (:func:`window_pass` delegates here).
-    """
-    if window < 2:
-        raise ValueError("window size must be >= 2")
-    comparisons = 0
-    for index in range(max(start, 0), len(ordered)):
-        row = ordered[index]
-        block_start = window_start(index, window)
-        if compare_block is not None:
-            comparisons += _compare_window_block(
-                row, ordered, block_start, index, pairs, compare_block,
-                skip_known=skip_known)
-            continue
-        for other_index in range(block_start, index):
-            other = ordered[other_index]
-            pair = (min(other.eid, row.eid), max(other.eid, row.eid))
-            if skip_known and pair in pairs:
-                continue
-            comparisons += 1
-            if compare(other, row).is_duplicate:
-                pairs.add(pair)
-    return comparisons
+    return compare_pairs(candidates(), compare, pairs)
 
 
 def multipass(table: GkTable, window: int,
               compare: Callable[[GkRow, GkRow], PairVerdict],
               key_indices: list[int] | None = None,
               duplicate_elimination: bool = False,
-              compare_block: CompareBlock | None = None,
               ) -> tuple[set[tuple[int, int]], int]:
     """Run one window pass per key; returns (pairs, total comparisons).
 
     With ``duplicate_elimination`` each pass uses :func:`de_window_pass`
-    instead of the plain window.  ``compare_block`` batches each pass's
-    anchor blocks (same pairs, amortized per-string work).
+    instead of the plain window.
     """
     pairs: set[tuple[int, int]] = set()
     comparisons = 0
@@ -275,8 +229,8 @@ def multipass(table: GkTable, window: int,
     for key_index in indices:
         if duplicate_elimination:
             comparisons += de_window_pass(table, key_index, window, compare,
-                                          pairs, compare_block=compare_block)
+                                          pairs)
         else:
             comparisons += window_pass(table, key_index, window, compare,
-                                       pairs, compare_block=compare_block)
+                                       pairs)
     return pairs, comparisons

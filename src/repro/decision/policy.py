@@ -87,7 +87,6 @@ class ThreeWayMeasure(SimilarityMeasure):
                 self.plan = ComparisonPlan.from_od_items(
                     spec.od_items(), threshold=self.lower,
                     phi_cache=self.plan.phi_cache, stats=self.stats)
-                self.__dict__.pop("_batch", None)
 
     # -- banding ----------------------------------------------------------
 
@@ -142,16 +141,6 @@ class ThreeWayMeasure(SimilarityMeasure):
             self._band_pair(left, right, AUTO_KEEP, verdict)
             self._pending = None
         return verdict
-
-    def compare_block(self, block: list[tuple[GkRow, GkRow]],
-                      ) -> list[PairVerdict]:
-        verdicts = super().compare_block(block)
-        for (left, right), verdict in zip(block, verdicts):
-            key = (min(left.eid, right.eid), max(left.eid, right.eid))
-            if key not in self._bands:
-                self._band_pair(left, right, AUTO_KEEP, verdict)
-        self._pending = None
-        return verdicts
 
     def _classify(self, left: GkRow, right: GkRow, od: float) -> PairVerdict:
         verdict = super()._classify(left, right, od)

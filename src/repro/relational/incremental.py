@@ -12,8 +12,10 @@ deduplicated data is not re-compared against itself.
 from __future__ import annotations
 
 import bisect
+from operator import attrgetter
 
 from ..clustering import UnionFind
+from ..core.window import compare_pairs, touched_window_pairs
 from .matchers import Matcher
 from .record import Record, Relation
 from .snm import RelationalKey
@@ -54,37 +56,22 @@ class IncrementalSnm:
 
         for key_index, key in enumerate(self.keys):
             order = self._sorted[key_index]
-            inserted_positions: list[int] = []
             for record in new_records:
                 entry = (key.generate(record), record.rid)
-                position = bisect.bisect_left(order, entry)
-                order.insert(position, entry)
-                inserted_positions.append(position)
-                # Earlier insertions at lower positions shift later ones;
-                # recompute below from the final list instead of tracking.
+                order.insert(bisect.bisect_left(order, entry), entry)
             new_rids = {record.rid for record in new_records}
-            self._compare_new_neighborhoods(order, new_rids)
+            relation = self.relation
+            self.comparisons += compare_pairs(
+                ((relation[left], relation[right]) for left, right
+                 in touched_window_pairs(order, self.window, new_rids)),
+                self.matcher, self.pairs, ident=attrgetter("rid"),
+                is_duplicate=bool)
 
         for record in new_records:
             self._forest.add(record.rid)
         for left, right in list(self.pairs):
             self._forest.union(left, right)
         return new_records
-
-    def _compare_new_neighborhoods(self, order: list[tuple[str, int]],
-                                   new_rids: set[int]) -> None:
-        for index, (_, rid) in enumerate(order):
-            start = max(0, index - self.window + 1)
-            for other_index in range(start, index):
-                other_rid = order[other_index][1]
-                if rid not in new_rids and other_rid not in new_rids:
-                    continue  # both old: already compared in a past batch
-                pair = (min(other_rid, rid), max(other_rid, rid))
-                if pair in self.pairs:
-                    continue
-                self.comparisons += 1
-                if self.matcher(self.relation[pair[0]], self.relation[pair[1]]):
-                    self.pairs.add(pair)
 
     def clusters(self) -> list[list[int]]:
         """Current duplicate clusters (every inserted record appears)."""

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from ..clustering import transitive_closure
+from ..core.window import compare_pairs, window_pairs
 from ..keys import parse_pattern
 from .matchers import Matcher
 from .record import Record, Relation
@@ -72,39 +74,23 @@ class SnmResult:
 
 
 def _window_pass(sorted_rids: list[int], relation: Relation, window: int,
-                 matcher: Matcher, pairs: set[tuple[int, int]],
-                 match_block=None) -> int:
+                 matcher: Matcher, pairs: set[tuple[int, int]]) -> int:
     """Slide a ``window`` over ``sorted_rids``; return comparison count.
 
     Each new record entering the window is compared against the ``window
     - 1`` records before it, the standard formulation equivalent to
-    comparing all pairs within each window position.  With
-    ``match_block``, each record's block of predecessors goes through
-    it in one call; block order equals the pair-at-a-time order, so
-    decisions and pair sets are bit-identical.
+    comparing all pairs within each window position.  Every window pair
+    is compared, even one an earlier pass already confirmed.
     """
-    comparisons = 0
-    for index, rid in enumerate(sorted_rids):
-        others = sorted_rids[max(0, index - window + 1):index]
-        if not others:
-            continue
-        if match_block is not None:
-            matches = match_block([(relation[other], relation[rid])
-                                   for other in others])
-        else:
-            matches = (matcher(relation[other], relation[rid])
-                       for other in others)
-        for other, matched in zip(others, matches):
-            comparisons += 1
-            if matched:
-                pairs.add((min(other, rid), max(other, rid)))
-    return comparisons
+    return compare_pairs(
+        window_pairs([relation[rid] for rid in sorted_rids], window),
+        matcher, pairs, skip_known=False, ident=attrgetter("rid"),
+        is_duplicate=bool)
 
 
 def sorted_neighborhood(relation: Relation, keys: list[RelationalKey],
                         matcher: Matcher, window: int = 5,
-                        closure: bool = True,
-                        batch: bool = False) -> SnmResult:
+                        closure: bool = True) -> SnmResult:
     """Run (multi-pass) SNM over ``relation``.
 
     One sliding-window pass per key in ``keys``; pairs are unioned across
@@ -125,19 +111,11 @@ def sorted_neighborhood(relation: Relation, keys: list[RelationalKey],
     closure:
         When false, skip transitive closure (``clusters`` stays empty) —
         useful for measuring phase costs separately.
-    batch:
-        Route each window block through the matcher's ``match_block``
-        (batched comparison plane) instead of pair-at-a-time calls.
-        Requires a matcher exposing ``match_block``; pairs and clusters
-        are bit-identical either way.
     """
     if not keys:
         raise ValueError("at least one key is required")
     if window < 2:
         raise ValueError("window size must be >= 2")
-    match_block = getattr(matcher, "match_block", None) if batch else None
-    if batch and match_block is None:
-        raise ValueError("batch=True requires a matcher with match_block")
 
     result = SnmResult()
     all_rids = [record.rid for record in relation]
@@ -149,7 +127,7 @@ def sorted_neighborhood(relation: Relation, keys: list[RelationalKey],
 
         start = time.perf_counter()
         result.comparisons += _window_pass(keyed, relation, window, matcher,
-                                           result.pairs, match_block)
+                                           result.pairs)
         result.window_seconds += time.perf_counter() - start
 
     if closure:

@@ -8,9 +8,8 @@ from .registry import (DEFAULT_TRAITS, PhiTraits, SimilarityFunction,
                        available_similarities, exact_casefold_similarity,
                        exact_similarity, get_similarity, get_traits,
                        register_similarity, reset_registry)
-from .batch import PairBatch, bag_distance_from_artifacts, string_artifacts
-from .filters import (bag_distance, bag_filter_bound,
-                      bounded_edit_similarity, bounded_levenshtein,
+from .filters import (bag_distance, bag_filter_bound, bags_distance,
+                      bounded_edit_similarity, bounded_levenshtein, char_bag,
                       filtered_edit_similarity, length_filter_bound)
 from .plan import (DEFAULT_PHI_CACHE_SIZE, CompiledCondition, ComparisonPlan,
                    ComparisonStats, PhiCache, PlanField, PlanOutcome)
@@ -27,7 +26,6 @@ __all__ = [
     "CompiledCondition",
     "ComparisonPlan",
     "ComparisonStats",
-    "PairBatch",
     "PhiCache",
     "PhiTraits",
     "PlanField",
@@ -35,10 +33,11 @@ __all__ = [
     "SimilarityFunction",
     "available_similarities",
     "bag_distance",
-    "bag_distance_from_artifacts",
+    "bags_distance",
     "bag_filter_bound",
     "bounded_edit_similarity",
     "bounded_levenshtein",
+    "char_bag",
     "filtered_edit_similarity",
     "get_traits",
     "length_filter_bound",
@@ -66,7 +65,6 @@ __all__ = [
     "register_similarity",
     "reset_registry",
     "soundex",
-    "string_artifacts",
     "token_jaccard",
     "tokenize",
     "year_similarity",

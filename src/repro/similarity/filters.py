@@ -18,8 +18,10 @@ This module provides the classic ones:
   similarity falls below a floor.
 
 The bag bound stays a registered upper bound of the comparison plane,
-where it refutes whole weighted pairs before any φ runs; inside one
-edit evaluation it would cost more than the kernel it guards.
+where it refutes whole weighted pairs before any φ runs (the plane
+memoizes each string's :func:`char_bag` and compares bags with
+:func:`bags_distance`); inside one edit evaluation it would cost more
+than the kernel it guards.
 """
 
 from __future__ import annotations
@@ -57,6 +59,32 @@ def bag_distance(left: str, right: str) -> int:
             left_only += count
         else:
             right_only -= count
+    return max(left_only, right_only)
+
+
+def char_bag(value: str) -> dict[str, int]:
+    """The character multiset of ``value``: character -> count."""
+    counts: dict[str, int] = {}
+    for char in value:
+        counts[char] = counts.get(char, 0) + 1
+    return counts
+
+
+def bags_distance(left: dict[str, int], right: dict[str, int]) -> int:
+    """:func:`bag_distance` from two :func:`char_bag` results.
+
+    Summing ``max(0, a[c] - b[c])`` over each side's characters gives
+    the same two multiset differences, hence the same integer.
+    """
+    left_only = right_only = 0
+    for char, count in left.items():
+        diff = count - right.get(char, 0)
+        if diff > 0:
+            left_only += diff
+    for char, count in right.items():
+        diff = count - left.get(char, 0)
+        if diff > 0:
+            right_only += diff
     return max(left_only, right_only)
 
 

@@ -17,7 +17,9 @@ threshold makes sound:
   (the edit family by default, user φs by registration) is guarded by
   its cheap upper bounds and, where available, evaluated through a
   floor-bounded evaluation with a floor derived from the decision
-  threshold;
+  threshold.  Window traffic repeats strings (an anchor meets all its
+  predecessors), so the length and character bag behind the two edit
+  bounds are memoized per distinct string for the life of the plan;
 * **weighted-sum upper-bound pruning** — a pair is abandoned as soon as
   the maximum still-achievable weighted score falls below the threshold;
 * **φ memoization** — a shared, size-bounded :class:`PhiCache` maps
@@ -50,6 +52,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field as dataclass_field, fields
 from typing import Any
 
+from .filters import (bag_filter_bound, bags_distance, char_bag,
+                      length_filter_bound)
 from .registry import (PhiTraits, SimilarityFunction, get_similarity,
                        get_traits)
 
@@ -105,8 +109,6 @@ class ComparisonStats:
     phi_cache_spilled: int = 0     # exact scores newly queued for disk
     edit_full_evals: int = 0       # full runs of filterable (edit-like) φs
     edit_bounded_evals: int = 0    # floor-bounded evaluations
-    batched_pairs: int = 0         # pairs evaluated through a PairBatch
-    batch_prefilter_drops: int = 0  # batch pairs dropped by column prefilters
     # Three-way decision bands (repro.decision): unique pairs this
     # decider placed in each band.  Zero everywhere for plain threshold
     # policies.
@@ -332,6 +334,8 @@ class ComparisonPlan:
         self.threshold = threshold
         self.phi_cache = phi_cache
         self.stats = stats if stats is not None else ComparisonStats()
+        # Distinct string -> (length, character bag) for the edit bounds.
+        self._strings: dict[str, tuple[int, dict[str, int]]] = {}
         # Cheap φs first, expensive last; heavier weights break ties so
         # high-relevance fields settle pairs earlier.
         self._order = sorted(
@@ -378,14 +382,39 @@ class ComparisonPlan:
                                                      right_value)
         return total, vals, entries
 
-    @staticmethod
-    def _field_bound(f: _CompiledField, left: str, right: str) -> float:
+    def _string(self, value: str) -> tuple[int, dict[str, int]]:
+        found = self._strings.get(value)
+        if found is None:
+            found = self._strings[value] = (len(value), char_bag(value))
+        return found
+
+    def _field_bound(self, f: _CompiledField, left: str, right: str) -> float:
+        """The ``min`` of the field's registered upper bounds.
+
+        The length and bag bounds run on the memoized per-string
+        lengths and bags with the same integer arithmetic as
+        :func:`~repro.similarity.filters.length_filter_bound` and
+        :func:`~repro.similarity.filters.bag_filter_bound`, so every
+        term is the same float; other bounds are called directly.
+        """
         bounds = f.traits.upper_bounds
         if not bounds:
             return 1.0
-        value = bounds[0](left, right)
-        for extra in bounds[1:]:
-            value = min(value, extra(left, right))
+        value = None
+        for bound in bounds:
+            if bound is length_filter_bound or bound is bag_filter_bound:
+                left_len, left_bag = self._string(left)
+                right_len, right_bag = self._string(right)
+                longest = left_len if left_len > right_len else right_len
+                if longest == 0:
+                    term = 1.0
+                elif bound is length_filter_bound:
+                    term = 1.0 - abs(left_len - right_len) / longest
+                else:
+                    term = 1.0 - bags_distance(left_bag, right_bag) / longest
+            else:
+                term = bound(left, right)
+            value = term if value is None else min(value, term)
         return value
 
     def _weighted(self, vals: list[float | None]) -> float:

@@ -207,11 +207,13 @@ class TestRoundTrip:
 
 
 class TestRetiredAttributes:
-    """Config files written for the removed pooled execution planes
-    still load, and detect exactly as if the attributes were absent."""
+    """Config files written for the removed pooled execution planes or
+    the removed batched comparison still load, and detect exactly as if
+    the attributes were absent."""
 
     RETIRED = ('workers="4" executionPlane="shm" parallelMinRows="0" '
-               'workerPoolPersist="false" sharedMemoryMinBytes="0"')
+               'workerPoolPersist="false" sharedMemoryMinBytes="0" '
+               'batchCompare="true"')
 
     def test_config_with_retired_attributes_detects_identically(self):
         from repro.core import SxnmDetector
@@ -232,5 +234,6 @@ class TestRetiredAttributes:
             assert ([list(cluster) for cluster in other.cluster_set]
                     == [list(cluster) for cluster in outcome.cluster_set])
         for attribute in ("workers", "executionPlane", "parallelMinRows",
-                          "workerPoolPersist", "sharedMemoryMinBytes"):
+                          "workerPoolPersist", "sharedMemoryMinBytes",
+                          "batchCompare"):
             assert attribute not in dump_config(load_config(retired_xml))

@@ -172,19 +172,6 @@ class TestUnionStrategy:
 
 
 class TestPlaneComposition:
-    def test_batch_compare_composes(self, movies):
-        plain = SxnmDetector(dataset1_config(), strategies=UNION).run(movies)
-        batched = SxnmDetector(dataset1_config(), strategies=UNION,
-                               batch_compare=True).run(movies)
-        outcome = plain.outcomes["movie"]
-        other = batched.outcomes["movie"]
-        assert other.pairs == outcome.pairs
-        assert other.comparisons == outcome.comparisons
-        assert (other.compare_stats.strategy_counters
-                == outcome.compare_stats.strategy_counters)
-        # The union's pair blocks really went through the batch layer.
-        assert other.compare_stats.batched_pairs == other.comparisons > 0
-
     def test_phi_cache_dir_composes(self, movies, tmp_path):
         cache = str(tmp_path / "phicache")
         cold = SxnmDetector(dataset1_config(), strategies=UNION,

@@ -27,6 +27,7 @@ from repro.core.blocking import (CompositeFieldBlock, ExactKeyBlock,
                                  WindowMember)
 from repro.core.gk import GkRow, GkTable
 from repro.xmlmodel import XmlDocument, XmlElement
+from tests.conftest import budget
 
 key_text = st.text(alphabet=string.ascii_lowercase + string.digits,
                    max_size=8)
@@ -99,7 +100,7 @@ def item_config():
 class TestProposalProperties:
 
     @given(table=gk_tables(), window=window_strategy)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=budget(60), deadline=None)
     def test_union_is_exactly_the_member_union(self, table, window):
         members = all_members()
         ctx = StubContext(table, window=window)
@@ -119,7 +120,7 @@ class TestProposalProperties:
             == len(proposed)
 
     @given(table=gk_tables(), window=window_strategy)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=budget(60), deadline=None)
     def test_owner_is_the_first_proposer(self, table, window):
         members = all_members()
         ctx = StubContext(table, window=window)
@@ -135,7 +136,7 @@ class TestProposalProperties:
 class TestMinHashProperties:
 
     @given(table=gk_tables(), seed=st.integers(0, 1000))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=budget(40), deadline=None)
     def test_fixed_seed_is_bit_identical(self, table, seed):
         first = MinHashLshStrategy(hashes=16, bands=4, seed=seed)
         second = MinHashLshStrategy(hashes=16, bands=4, seed=seed)
@@ -147,7 +148,7 @@ class TestMinHashProperties:
 
     @given(table=gk_tables(), seed=st.integers(0, 1000),
            shuffle_seed=st.integers(0, 1000))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=budget(40), deadline=None)
     def test_invariant_to_document_order(self, table, seed, shuffle_seed):
         import random as random_module
         rows = list(table)
@@ -164,7 +165,7 @@ class TestMinHashProperties:
 class TestDetectorProperties:
 
     @given(titles=titles_strategy, window=window_strategy)
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=budget(25), deadline=None)
     def test_compared_counters_sum_to_total_comparisons(self, titles,
                                                         window):
         detector = SxnmDetector(
@@ -184,7 +185,7 @@ class TestDetectorProperties:
             assert slot["fresh"] <= slot["generated"]
 
     @given(titles=titles_strategy, window=window_strategy)
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=budget(25), deadline=None)
     def test_window_only_union_is_bit_identical(self, titles, window):
         document = build_document(titles)
         plain = SxnmDetector(item_config()).run(document, window=window)
@@ -197,7 +198,7 @@ class TestDetectorProperties:
             == plain.outcomes["item"].cluster_set.duplicate_clusters()
 
     @given(titles=titles_strategy, window=window_strategy)
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=budget(25), deadline=None)
     def test_union_pairs_superset_of_window_pairs(self, titles, window):
         document = build_document(titles)
         plain = SxnmDetector(item_config()).run(document, window=window)

@@ -146,7 +146,6 @@ class TestDetectorEndToEnd:
 class TestDetectorLeavesConfigAlone:
     OVERRIDES = dict(decision_mode="three-way", decision_fpr=0.1,
                      decision_coverage=0.8, phi_cache_dir="phi",
-                     batch_compare=True,
                      index_dir="index", stream=True, spill_dir="spill",
                      spill_max_rows=7, strategies=["window", "exact-key"])
 
@@ -159,7 +158,6 @@ class TestDetectorLeavesConfigAlone:
                 == getattr(before, field.name), field.name
         # The detector runs on its own copy carrying the overrides.
         assert detector.config is not config
-        assert detector.config.batch_compare is True
         assert detector.config.stream_parse is True
         assert detector.config.spill_max_rows == 7
         assert [s.name for s in detector.config.neighborhood_strategies] \

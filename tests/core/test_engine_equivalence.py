@@ -589,73 +589,6 @@ class TestWarmCacheGolden:
         assert sum(s.phi_cache_spilled for s in warm_stats) == 0
 
 
-class TestBatchCompareGolden:
-    """Batched comparison is bit-identical to the frozen references.
-
-    Each of the five detector configurations runs with
-    ``batch_compare=True`` against the pre-refactor reference loop —
-    so the batch layer is pinned not merely to the pair-at-a-time
-    wrapper but transitively to the historical detectors.  An extra
-    dimension re-runs the batched detector against a warm persistent φ
-    cache, a seam a batch must compose with.
-    """
-
-    PARAMS = pytest.mark.parametrize("kwargs", [
-        {},
-        {"decision": "combined"},
-        {"use_filters": True},
-        {"duplicate_elimination": True},
-        {"closure_method": "quadratic"},
-    ], ids=["plain", "combined", "filters", "de", "quadratic"])
-
-    @staticmethod
-    def common(kwargs):
-        return dict(
-            decision=kwargs.get("decision", "gates"),
-            use_filters=kwargs.get("use_filters", False),
-            duplicate_elimination=kwargs.get("duplicate_elimination", False),
-            closure_method=kwargs.get("closure_method", "union_find"))
-
-    @PARAMS
-    def test_movies(self, movies, kwargs):
-        config = dataset1_config()
-        reference = reference_sxnm(config, movies, window=6, **kwargs)
-        result = SxnmDetector(config, batch_compare=True,
-                              **self.common(kwargs)).run(movies, window=6)
-        for name, (pairs, comparisons, filtered, clusters) in reference.items():
-            outcome = result.outcomes[name]
-            assert outcome.pairs == pairs
-            assert outcome.comparisons == comparisons
-            assert outcome.filtered_comparisons == filtered
-            assert partition(outcome.cluster_set) == clusters
-            # The batch layer really carried the comparisons.
-            assert outcome.compare_stats.batched_pairs == comparisons > 0
-
-    @PARAMS
-    def test_movies_with_warm_phi_cache(self, movies, kwargs, tmp_path):
-        cache_dir = str(tmp_path / "phi-cache")
-        common = self.common(kwargs)
-        baseline = SxnmDetector(dataset1_config(), batch_compare=True,
-                                **common).run(movies, window=6)
-        cold = SxnmDetector(dataset1_config(), phi_cache_dir=cache_dir,
-                            batch_compare=True, **common).run(movies,
-                                                              window=6)
-        warm = SxnmDetector(dataset1_config(), phi_cache_dir=cache_dir,
-                            batch_compare=True, **common).run(movies,
-                                                              window=6)
-        for name, outcome in baseline.outcomes.items():
-            for run in (cold, warm):
-                other = run.outcomes[name]
-                assert other.pairs == outcome.pairs
-                assert other.comparisons == outcome.comparisons
-                assert (partition(other.cluster_set)
-                        == partition(outcome.cluster_set))
-        warm_stats = [o.compare_stats for o in warm.outcomes.values()
-                      if o.compare_stats is not None]
-        assert sum(s.phi_cache_disk_hits for s in warm_stats) > 0
-        assert sum(s.phi_cache_spilled for s in warm_stats) == 0
-
-
 class TestStrategyGolden:
     """Union(window + blocking + LSH) against the window-only goldens.
 

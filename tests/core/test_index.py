@@ -47,7 +47,7 @@ class TestFingerprints:
     def test_perf_knobs_excluded(self):
         base = dataset1_config()
         tuned = dataset1_config()
-        tuned.batch_compare = True
+        tuned.use_filters = True
         tuned.phi_cache_dir = "/tmp/phi"
         tuned.index_dir = "/tmp/idx"
         assert config_fingerprint(tuned) == config_fingerprint(base)

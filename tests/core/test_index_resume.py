@@ -21,6 +21,7 @@ from repro.datagen import generate_dataset2, generate_dirty_movies
 from repro.errors import DetectionError
 from repro.experiments import dataset1_config, dataset2_config
 from repro.xmlmodel import serialize
+from tests.conftest import budget
 
 
 class KillAfter(EngineObserver):
@@ -148,7 +149,7 @@ class TestResumeRefusals:
                              text, resume=True)
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=budget(10), deadline=None)
 @given(count=st.integers(min_value=8, max_value=30),
        seed=st.integers(min_value=0, max_value=2**16),
        profile=st.sampled_from(["effectiveness", "few", "many"]),

@@ -3,9 +3,9 @@
 Every kernel is pinned to its in-memory counterpart: run formation and
 the k-way merge must reproduce ``GkTable.sorted_by_key`` exactly,
 ``spill_gk_streaming`` must emit the same rows as
-``generate_gk_streaming``, and the streamed window kernels must match
-``segment_window_pass`` / ``de_window_pass`` pair for pair and count
-for count.  The streaming differential battery over whole detections
+``generate_gk_streaming``, and the window kernels over merged runs must
+match ``window_pass`` / ``de_window_pass`` over the in-memory table pair
+for pair and count for count.  The streaming differential battery over whole detections
 lives in ``test_engine_equivalence.py``.
 """
 
@@ -16,18 +16,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import CandidateSpec, SxnmConfig, load_config, dump_config
-from repro.core import (SpilledGkTable, SpillStore, generate_gk,
-                        generate_gk_streaming, spill_gk_streaming,
-                        stream_de_window_pass, stream_window_pass)
+from repro.core import (SpilledGkTable, SpillStore, compare_pairs,
+                        de_window_pairs, generate_gk, generate_gk_streaming,
+                        spill_gk_streaming, window_pairs)
 from repro.core.candidates import CandidateHierarchy
 from repro.core.gk import GkRow
 from repro.core.spill import (DEFAULT_SPILL_MAX_ROWS, XmlFileSource,
                               document_events, merge_runs, source_events)
-from repro.core.window import de_window_pass, segment_window_pass
+from repro.core.window import de_window_pass, window_pass
 from repro.datagen import generate_dirty_movies
 from repro.errors import DetectionError
 from repro.experiments import dataset1_config
 from repro.xmlmodel import iter_events, parse, serialize, write_file
+from tests.conftest import budget
 
 
 @pytest.fixture(scope="module")
@@ -202,24 +203,27 @@ class TestStreamKernels:
         return lambda left, right: Verdict(
             bool(left.keys[0]) and left.keys[0][:2] == right.keys[0][:2])
 
-    def test_stream_window_pass_matches_segment(self, movies, tmp_path):
+    def test_window_pairs_over_merged_runs_match_window_pass(self, movies,
+                                                             tmp_path):
         tables, _, config = spill_tables(movies, tmp_path, max_rows=5)
         reference = generate_gk(movies, config)
         for name, table in tables.items():
             for key_index in range(table.key_count):
                 for window in (2, 4, 8):
                     expected_pairs: set = set()
-                    expected = segment_window_pass(
-                        reference[name].sorted_by_key(key_index), window,
-                        self.compare(), expected_pairs)
+                    expected = window_pass(reference[name], key_index,
+                                           window, self.compare(),
+                                           expected_pairs)
                     streamed_pairs: set = set()
-                    streamed = stream_window_pass(
-                        table.iter_sorted_by_key(key_index), window,
+                    streamed = compare_pairs(
+                        window_pairs(table.iter_sorted_by_key(key_index),
+                                     window),
                         self.compare(), streamed_pairs)
                     assert streamed == expected
                     assert streamed_pairs == expected_pairs
 
-    def test_stream_de_pass_matches_de_window_pass(self, movies, tmp_path):
+    def test_de_pairs_over_merged_runs_match_de_window_pass(self, movies,
+                                                            tmp_path):
         tables, _, config = spill_tables(movies, tmp_path, max_rows=5)
         reference = generate_gk(movies, config)
         for name, table in tables.items():
@@ -228,46 +232,37 @@ class TestStreamKernels:
                 expected = de_window_pass(reference[name], key_index, 4,
                                           self.compare(), expected_pairs)
                 streamed_pairs: set = set()
-                streamed = stream_de_window_pass(
-                    lambda: table.iter_sorted_by_key(key_index), key_index,
-                    4, self.compare(), streamed_pairs)
+                streamed = compare_pairs(
+                    de_window_pairs(table.merged_order(key_index),
+                                    key_index, 4),
+                    self.compare(), streamed_pairs)
                 assert streamed == expected
                 assert streamed_pairs == expected_pairs
+
+    def test_merged_order_replays_identically(self, movies, tmp_path):
+        tables, _, config = spill_tables(movies, tmp_path, max_rows=5)
+        reference = generate_gk(movies, config)
+        table = tables["movie"]
+        for key_index in range(table.key_count):
+            order = table.merged_order(key_index)
+            expected = [row.eid for row
+                        in reference["movie"].sorted_by_key(key_index)]
+            assert [row.eid for row in order] == expected
+            assert [row.eid for row in order] == expected
 
     def test_skip_known_pairs_not_recompared(self):
         rows = [GkRow(i, ["xx"], [], {}) for i in range(4)]
         pairs = {(0, 1)}
-        count = stream_window_pass(iter(rows), 2, self.compare(), pairs)
+        count = compare_pairs(window_pairs(iter(rows), 2), self.compare(),
+                              pairs)
         assert count == 2  # (1,2) and (2,3); (0,1) was known
         assert pairs == {(0, 1), (1, 2), (2, 3)}
 
-    def test_compare_block_variant_matches(self, movies, tmp_path):
-        tables, _, config = spill_tables(movies, tmp_path, max_rows=5)
-        reference = generate_gk(movies, config)
-        compare = self.compare()
-
-        def block_compare(block):
-            return [compare(left, right) for left, right in block]
-
-        table = tables["movie"]
-        for key_index in range(table.key_count):
-            expected_pairs: set = set()
-            expected = segment_window_pass(
-                reference["movie"].sorted_by_key(key_index), 4, compare,
-                expected_pairs, compare_block=block_compare)
-            streamed_pairs: set = set()
-            streamed = stream_window_pass(
-                table.iter_sorted_by_key(key_index), 4, compare,
-                streamed_pairs, compare_block=block_compare)
-            assert streamed == expected
-            assert streamed_pairs == expected_pairs
-
     def test_window_too_small_rejected(self):
         with pytest.raises(ValueError):
-            stream_window_pass(iter(()), 1, self.compare(), set())
+            list(window_pairs(iter(()), 1))
         with pytest.raises(ValueError):
-            stream_de_window_pass(lambda: iter(()), 0, 1,
-                                  self.compare(), set())
+            list(de_window_pairs([], 0, 1))
 
 
 class TestSourceEvents:
@@ -316,7 +311,7 @@ def _property_config() -> SxnmConfig:
 
 class TestStreamingKeygenProperty:
     @given(entries=documents)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=budget(60), deadline=None)
     def test_streaming_equals_dom(self, entries):
         body = "".join(
             f'<person ns:year="{year}"><name>{name}</name></person>'
@@ -332,7 +327,7 @@ class TestStreamingKeygenProperty:
             assert all(rows_equal(a, b) for a, b in zip(other, table))
 
     @given(entries=documents)
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=budget(30), deadline=None)
     def test_spilling_equals_streaming(self, entries, tmp_path_factory):
         body = "".join(
             f'<person ns:year="{year}"><name>{name}</name></person>'

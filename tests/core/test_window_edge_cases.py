@@ -4,8 +4,9 @@ import pytest
 
 from repro.config import CandidateSpec, SxnmConfig
 from repro.core import (GkRow, GkTable, PairVerdict, SxnmDetector,
-                        adaptive_window_pass, de_window_pass, key_similarity,
-                        keys_similar, multipass, window_pass)
+                        adaptive_window_pass, compare_pairs, de_window_pass,
+                        key_similarity, keys_similar, multipass, window_pairs,
+                        window_pass)
 from repro.xmlmodel import parse
 
 
@@ -230,20 +231,15 @@ class TestDetectorOptions:
 
 
 class TestWindowStartHelper:
-    """Boundary conditions of the shared overlap/window arithmetic."""
+    """Where each anchor's window starts: boundaries of the one kernel."""
 
-    def test_window_start_values(self):
-        from repro.core.window import window_start
-        assert window_start(0, 5) == 0
-        assert window_start(3, 5) == 0
-        assert window_start(4, 5) == 0
-        assert window_start(5, 5) == 1
-        assert window_start(10, 2) == 9
+    def test_pairs_are_predecessor_anchor_oldest_first(self):
+        assert list(window_pairs("abcd", 3)) == [
+            ("a", "b"), ("a", "c"), ("b", "c"), ("b", "d"), ("c", "d")]
 
     def test_window_one_rejected(self):
-        from repro.core.window import segment_window_pass
         with pytest.raises(ValueError):
-            segment_window_pass([], 1, always_duplicate, set())
+            list(window_pairs([], 1))
 
     def test_window_larger_than_rows(self):
         # A window exceeding the row count degenerates to all-pairs.
@@ -258,12 +254,13 @@ class TestWindowStartHelper:
                                        key_indices=[])
         assert pairs == set() and comparisons == 0
 
-    def test_segment_overlap_never_anchors(self):
-        # Overlap rows only serve as predecessors: a segment whose
-        # anchors start past the end contributes nothing.
-        from repro.core.window import segment_window_pass
-        ordered = table_with([["A"], ["B"], ["C"]]).sorted_by_key(0)
+    def test_skip_known_is_checked_as_pairs_are_pulled(self):
+        # A pair confirmed earlier in the same candidate stream is
+        # skipped when it comes round again.
+        table = table_with([["A"], ["B"]])
+        a, b = table.sorted_by_key(0)
         pairs: set = set()
-        assert segment_window_pass(ordered, 3, always_duplicate, pairs,
-                                   start=len(ordered)) == 0
-        assert pairs == set()
+        count = compare_pairs([(a, b), (b, a)], always_duplicate, pairs)
+        assert count == 1 and pairs == {(a.eid, b.eid)}
+        assert compare_pairs([(a, b), (b, a)], always_duplicate, set(),
+                             skip_known=False) == 2

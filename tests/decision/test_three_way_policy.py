@@ -150,18 +150,6 @@ class TestThreeWayMeasureUnit:
                 GkRow(2, [], ["Once Upon a Tim in the West", "139"]),
                 GkRow(3, [], ["zzz", "5"]))
 
-    def test_compare_block_bands_every_pair(self):
-        near, near2, far = self.rows()
-        measure = self.measure(self.open_calibration())
-        block = [(near, near2), (near, far), (near2, far)]
-        verdicts = measure.compare_block(block)
-        assert len(verdicts) == 3
-        counts = measure.band_counts()
-        assert sum(counts.values()) == 3
-        assert measure.band(2, 1) == "auto_dup"
-        assert measure.band(1, 3) == "auto_keep"
-        assert measure.band(5, 6) is None
-
     def test_filtered_plan_rebuilt_at_band_floor(self):
         near, _, far = self.rows()
         filtered = self.measure(self.open_calibration(), use_filters=True)

@@ -95,3 +95,33 @@ class TestBoundedLevenshtein:
         exact = dp_levenshtein(left, right)
         for cap in range(max(len(left), len(right)) + 2):
             assert bounded_levenshtein(left, right, cap) == min(exact, cap + 1)
+
+
+class TestWindowTraffic:
+    """Orders the window phase feeds the kernel: repeated anchors, sorted
+    neighbors sharing prefixes, equal strings, switching patterns."""
+
+    WORDS = ["", "a", "ab", "abc", "abd", "abcdef", "abcdeg", "xyz",
+             "casablanca", "casablanka", "casa", "blanca"]
+
+    def test_exact_distances_in_any_order(self):
+        for pattern in self.WORDS:
+            for text in self.WORDS:
+                assert levenshtein_distance(text, pattern) \
+                    == dp_levenshtein(text, pattern), (text, pattern)
+
+    def test_sorted_texts_against_one_anchor(self):
+        for text in sorted(self.WORDS):
+            assert levenshtein_distance(text, "casablanca") \
+                == dp_levenshtein(text, "casablanca")
+
+    def test_equal_strings_between_neighbors(self):
+        assert levenshtein_distance("casab", "casablanca") == 5
+        assert levenshtein_distance("casablanca", "casablanca") == 0
+        assert levenshtein_distance("casaz", "casablanca") \
+            == dp_levenshtein("casaz", "casablanca")
+
+    def test_pattern_switch(self):
+        assert levenshtein_distance("abc", "abd") == 1
+        assert levenshtein_distance("abc", "xbd") == 2
+        assert levenshtein_distance("", "xbd") == 3

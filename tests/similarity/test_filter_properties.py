@@ -12,12 +12,14 @@ import string
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.similarity import (bag_distance, bag_filter_bound,
+from repro.similarity import (ComparisonPlan, ComparisonStats, PhiCache,
+                              PlanField, bag_distance, bag_filter_bound,
                               bounded_edit_similarity, bounded_levenshtein,
                               damerau_similarity, filtered_edit_similarity,
                               length_filter_bound, levenshtein_distance,
                               levenshtein_similarity)
 from tests.conftest import budget
+from tests.similarity.conftest import PHI_NAMES, adversarial_text
 
 word = st.text(alphabet=string.ascii_lowercase + " '", max_size=24)
 
@@ -131,3 +133,70 @@ class TestFilteredEditSimilarity:
         exact = levenshtein_similarity(left, right)
         expected = exact if exact >= floor else 0.0
         assert filtered_edit_similarity(left, right, floor) == expected
+
+
+# ---------------------------------------------------------------------------
+# The comparison plane's per-string memo and pair-level prefilter
+
+
+@st.composite
+def repeated_strings(draw):
+    """Strings drawn with repeats and shared prefixes, as the window
+    phase produces them (an anchor meets every predecessor)."""
+    stem = draw(adversarial_text)
+    pool = draw(st.lists(st.one_of(adversarial_text,
+                                   st.builds(lambda tail: stem + tail,
+                                             adversarial_text)),
+                         min_size=1, max_size=6))
+    return draw(st.lists(st.sampled_from(pool), min_size=2, max_size=12))
+
+
+class TestMemoizedFieldBound:
+    @given(strings=repeated_strings())
+    @settings(max_examples=budget(200), deadline=None)
+    def test_memoized_bound_equals_filter_functions(self, strings):
+        plan = ComparisonPlan([PlanField("f", 1.0, "edit")], threshold=0.5)
+        field = plan.fields[0]
+        for left, right in zip(strings, strings[1:] + strings[:1]):
+            expected = min(length_filter_bound(left, right),
+                           bag_filter_bound(left, right))
+            assert plan._field_bound(field, left, right) == expected
+
+
+@st.composite
+def spec_and_pairs(draw):
+    """A random 1-4 field plan, a threshold, and up to 8 value pairs."""
+    count = draw(st.integers(min_value=1, max_value=4))
+    fields = [PlanField(f"f{index}",
+                        draw(st.floats(min_value=0.05, max_value=1.0,
+                                       allow_nan=False)),
+                        draw(st.sampled_from(PHI_NAMES)))
+              for index in range(count)]
+    threshold = draw(st.floats(min_value=0.0, max_value=1.0,
+                               allow_nan=False))
+    row = st.lists(st.one_of(st.none(), adversarial_text),
+                   min_size=count, max_size=count)
+    pairs = draw(st.lists(st.tuples(row, row), min_size=1, max_size=8))
+    return fields, threshold, pairs
+
+
+class TestPrefilterSoundness:
+    @given(case=spec_and_pairs())
+    @settings(max_examples=budget(120), deadline=None)
+    def test_prefilter_drops_are_sound(self, case):
+        """A pair the plan's probe drops is provably below threshold."""
+        fields, threshold, pairs = case
+        plan = ComparisonPlan(fields, threshold=threshold,
+                              phi_cache=PhiCache(32768),
+                              stats=ComparisonStats())
+        exact = ComparisonPlan(fields, phi_cache=PhiCache(32768))
+        drops = 0
+        for left, right in pairs:
+            probe = plan.probe(left, right)
+            if probe.prefiltered:
+                drops += 1
+                true_score = exact.score(left, right)
+                assert true_score < threshold
+                # The recorded bound dominates the exact score.
+                assert probe.score >= true_score
+        assert plan.stats.pairs_prefiltered == drops

@@ -168,31 +168,33 @@ class TestPlanPruning:
         assert ComparisonStats().phi_cache_hit_rate == 0.0
         assert set(two.as_dict()) == set(one.as_dict())
 
-    def test_batch_counters_survive_merge_and_as_dict(self):
+    def test_late_counters_survive_merge_and_as_dict(self):
         # Regression: as_dict() used to enumerate counters by hand, so
         # merge() (which iterates that dict) silently dropped any field
-        # added later.
-        one = ComparisonStats(batched_pairs=5, batch_prefilter_drops=2)
-        two = ComparisonStats(batched_pairs=7, batch_prefilter_drops=1)
+        # added later — such as the three-way band counters.
+        one = ComparisonStats(pairs_auto_dup=5, pairs_review=2)
+        two = ComparisonStats(pairs_auto_dup=7, pairs_review=1)
         one.merge(two)
-        assert one.batched_pairs == 12
-        assert one.batch_prefilter_drops == 3
-        assert one.as_dict()["batched_pairs"] == 12
-        assert one.as_dict()["batch_prefilter_drops"] == 3
+        assert one.pairs_auto_dup == 12
+        assert one.pairs_review == 3
+        assert one.as_dict()["pairs_auto_dup"] == 12
+        assert one.as_dict()["pairs_review"] == 3
 
     def test_as_dict_enumerates_every_dataclass_field(self):
         import dataclasses
-        stats = ComparisonStats(batched_pairs=1)
+        stats = ComparisonStats(pairs_review=1)
         assert set(stats.as_dict()) \
             == {field.name for field in dataclasses.fields(stats)}
 
     def test_from_dict_round_trips_and_ignores_retired_counters(self):
-        stats = ComparisonStats(pairs_scored=4, batched_pairs=2)
+        stats = ComparisonStats(pairs_scored=4, pairs_review=2)
         stats.strategy_counters["window"] = {"compared": 3}
         assert ComparisonStats.from_dict(stats.as_dict()) == stats
         # A detection index written while the pooled execution planes
-        # existed carries their retired counter.
-        legacy = dict(stats.as_dict(), redundant_comparisons=7)
+        # existed carries their retired counter; one written while
+        # batched comparison existed carries its two counters.
+        legacy = dict(stats.as_dict(), redundant_comparisons=7,
+                      batched_pairs=11, batch_prefilter_drops=3)
         assert ComparisonStats.from_dict(legacy) == stats
 
     def test_mapping_counters_survive_merge_and_as_dict(self):

@@ -15,6 +15,7 @@ from repro.core import SxnmDetector
 from repro.core.observer import CounterObserver
 from repro.datagen import generate_dirty_movies
 from repro.experiments import dataset1_config
+from repro.similarity import ComparisonStats
 from tests.conftest import budget
 
 
@@ -81,3 +82,25 @@ def test_cache_is_sound_across_threshold_changes(tmp_path_factory, seed,
                              cache_dir=cache_dir)
     assert warm == baseline
     assert warm_counter.warnings == []
+
+
+def test_warm_persistent_cache_equals_cacheless(tmp_path):
+    """Cold and warm runs against a φ directory equal a cacheless run,
+    and the warm run serves its φs from disk without spilling again."""
+    movies = generate_dirty_movies(60, seed=11, profile="effectiveness")
+    cache_dir = str(tmp_path / "phi-cache")
+
+    def detect(directory=None):
+        return SxnmDetector(dataset1_config(), phi_cache_dir=directory).run(
+            movies, window=6)
+
+    baseline, cold, warm = detect(), detect(cache_dir), detect(cache_dir)
+    assert outcome_view(cold) == outcome_view(baseline)
+    assert outcome_view(warm) == outcome_view(baseline)
+    cold_total, warm_total = ComparisonStats(), ComparisonStats()
+    for result, total in ((cold, cold_total), (warm, warm_total)):
+        for outcome in result.outcomes.values():
+            total.merge(outcome.compare_stats)
+    assert cold_total.phi_cache_spilled > 0
+    assert warm_total.phi_cache_disk_hits > 0
+    assert warm_total.phi_cache_spilled == 0
