@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 from .config import load_config_file
 from .core import EngineObserver, SxnmDetector, deduplicate_document
@@ -181,7 +182,9 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         from .core import XmlFileSource
         source = XmlFileSource(args.data)
     else:
+        parse_start = time.perf_counter()
         source = parse_file(args.data)
+        parse_seconds = time.perf_counter() - parse_start
     gk = None
     if getattr(args, "gk", None):
         from .core import load_gk
@@ -256,7 +259,9 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             written = review_queue.write(review_out)
             lines.append(f"wrote {written} review item(s) to {review_out}")
     timings = result.timings
-    lines.append(f"KG {timings.key_generation:.3f}s  "
+    # Streaming parses inside key generation, so it has no parse figure.
+    lines.append(("" if stream else f"PARSE {parse_seconds:.3f}s  ")
+                 + f"KG {timings.key_generation:.3f}s  "
                  f"SW {timings.window:.3f}s  TC {timings.closure:.3f}s")
     output = "\n".join(lines)
     if args.report:

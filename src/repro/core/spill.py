@@ -67,7 +67,7 @@ class XmlFileSource:
 
     Passing one of these to a streaming detector (instead of XML text or
     a parsed document) keeps even the raw bytes out of memory: key
-    generation reads the file through the chunked scanner.
+    generation reads the file a chunk at a time through the parser.
     """
 
     def __init__(self, path, chunk_size: int = DEFAULT_CHUNK_SIZE):

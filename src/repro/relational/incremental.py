@@ -54,29 +54,30 @@ class IncrementalSnm:
         if not new_records:
             return []
 
+        # Every compared pair has a new member, so none of them can be in
+        # an earlier batch's pairs: checking known pairs against this
+        # batch's alone skips exactly what checking the session's would.
+        found: set[tuple[int, int]] = set()
+        new_rids = {record.rid for record in new_records}
+        relation = self.relation
         for key_index, key in enumerate(self.keys):
             order = self._sorted[key_index]
             for record in new_records:
                 entry = (key.generate(record), record.rid)
                 order.insert(bisect.bisect_left(order, entry), entry)
-            new_rids = {record.rid for record in new_records}
-            relation = self.relation
             self.comparisons += compare_pairs(
                 ((relation[left], relation[right]) for left, right
                  in touched_window_pairs(order, self.window, new_rids)),
-                self.matcher, self.pairs, ident=attrgetter("rid"),
+                self.matcher, found, ident=attrgetter("rid"),
                 is_duplicate=bool)
 
+        self.pairs |= found
         for record in new_records:
             self._forest.add(record.rid)
-        for left, right in list(self.pairs):
+        for left, right in found:
             self._forest.union(left, right)
         return new_records
 
     def clusters(self) -> list[list[int]]:
         """Current duplicate clusters (every inserted record appears)."""
-        for record in self.relation:
-            self._forest.add(record.rid)
-        for left, right in self.pairs:
-            self._forest.union(left, right)
         return self._forest.groups()

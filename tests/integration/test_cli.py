@@ -1,5 +1,7 @@
 """Integration tests for the ``sxnm`` command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -28,6 +30,16 @@ class TestDetect:
         assert "candidate movie" in output
         assert "duplicate cluster" in output
         assert "KG" in output and "SW" in output
+
+    def test_timings_line_reports_parse_unless_streaming(self, workspace, capsys):
+        _, config, data = workspace
+        assert main(["detect", "-c", config, data]) == 0
+        timings = capsys.readouterr().out.splitlines()[-1]
+        assert re.fullmatch(r"PARSE \d+\.\d{3}s  KG \d+\.\d{3}s  "
+                            r"SW \d+\.\d{3}s  TC \d+\.\d{3}s", timings)
+        assert main(["detect", "-c", config, data, "--stream"]) == 0
+        timings = capsys.readouterr().out.splitlines()[-1]
+        assert timings.startswith("KG ") and "PARSE" not in timings
 
     def test_report_file(self, workspace):
         tmp_path, config, data = workspace

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.clustering import UnionFind
 from repro.relational import (FieldRule, IncrementalSnm, Relation,
                               RelationalKey, WeightedFieldMatcher, all_pairs,
                               duplicate_elimination_snm, sorted_neighborhood,
@@ -82,6 +83,29 @@ class TestIncrementalSnm:
         incremental.add_batch(ROWS[2:])
         flattened = sorted(r for c in incremental.clusters() for r in c)
         assert flattened == list(range(len(ROWS)))
+
+    def test_forest_unions_each_pair_once(self):
+        incremental = IncrementalSnm(["title", "year"], [KEY], MATCHER, window=3)
+        unioned = []
+        union = incremental._forest.union
+
+        def spy(left, right):
+            unioned.append((left, right))
+            return union(left, right)
+
+        incremental._forest.union = spy
+        rows = ROWS * 3
+        for start in range(0, len(rows), 4):
+            incremental.add_batch(rows[start:start + 4])
+        clusters = incremental.clusters()
+        assert sorted(unioned) == sorted(incremental.pairs)
+        assert len(incremental.pairs) > 4
+        scratch = UnionFind(range(len(rows)))
+        for left, right in incremental.pairs:
+            scratch.union(left, right)
+        assert clusters == scratch.groups()
+        incremental.clusters()
+        assert len(unioned) == len(incremental.pairs)
 
     def test_empty_batch(self):
         incremental = IncrementalSnm(["title", "year"], [KEY], MATCHER)
